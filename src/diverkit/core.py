@@ -36,8 +36,9 @@ class Frame:
             raise ValidationError(f"frame must be (h, w) or (h, w, 3), got {arr.shape}")
         if arr.size == 0:
             raise ValidationError("empty frame")
-        if arr.min() < 0 or arr.max() > 255:
-            raise ValidationError("pixel intensities must lie in [0, 255]")
+        # written so NaN fails too: every comparison with NaN is False
+        if not (arr.min() >= 0 and arr.max() <= 255):
+            raise ValidationError("pixel intensities must be finite and lie in [0, 255]")
         if self.fps <= 0:
             raise ValidationError("fps must be positive")
         arr.setflags(write=False)

@@ -1,7 +1,8 @@
 """Numeric hot loops shared by the tracker and the scene pipeline.
 
-Every kernel here exists twice: a numba ``@njit`` version and a pure-numpy
-fallback. The active lane is chosen once at import time from the
+Every per-frame kernel here exists twice: a numba ``@njit`` version and a
+pure-numpy fallback (``blur_matrix`` is built once per grid and is numpy
+only). The active lane is chosen once at import time from the
 ``DIVERKIT_BACKEND`` environment variable (``numba`` or ``numpy``; default is
 numba when importable). Individual calls can override the lane with the
 ``backend=`` argument, which is what the bench subcommand uses to compare the
@@ -147,43 +148,17 @@ def gaussian_blur(
     return _blur_np(img, taps)
 
 
-# ---------------------------------------------------------------------------
-# per-window means over the grid
-# ---------------------------------------------------------------------------
+def blur_matrix(n: int, sigma: float, truncate: float = 3.0) -> np.ndarray:
+    """(n, n) matrix G such that ``G @ x`` is the 1-D blur of a length-n ``x``.
 
-
-def _window_means_np(img, rows, cols, win_h, win_w):
-    crop = img[: rows * win_h, : cols * win_w]
-    return crop.reshape(rows, win_h, cols, win_w).mean(axis=(1, 3)).reshape(-1)
-
-
-@njit(cache=True)
-def _window_means_nb(img, rows, cols, win_h, win_w):  # pragma: no cover
-    out = np.empty(rows * cols)
-    inv = 1.0 / (win_h * win_w)
-    for r in range(rows):
-        for c in range(cols):
-            acc = 0.0
-            for y in range(r * win_h, (r + 1) * win_h):
-                for x in range(c * win_w, (c + 1) * win_w):
-                    acc += img[y, x]
-            out[r * cols + c] = acc * inv
-    return out
-
-
-def window_means(
-    img: np.ndarray,
-    rows: int,
-    cols: int,
-    win_h: int,
-    win_w: int,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Mean intensity of each grid window, row-major window order."""
-    img = np.ascontiguousarray(img, dtype=np.float64)
-    if _resolve(backend) == "numba":
-        return _window_means_nb(img, rows, cols, win_h, win_w)
-    return _window_means_np(img, rows, cols, win_h, win_w)
+    Same taps and symmetric boundary as :func:`gaussian_blur`, so
+    ``G_h @ img @ G_w.T`` blurs an (h, w) image; radii beyond ``n`` reflect
+    repeatedly, as ``np.pad(mode="symmetric")`` does.
+    """
+    taps = gaussian_kernel1d(sigma, truncate)
+    r = taps.size // 2
+    out = np.pad(np.eye(n), ((r, r), (0, 0)), mode="symmetric")
+    return sliding_window_view(out, taps.size, axis=0) @ taps
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +265,5 @@ def warmup(backend: str | None = None) -> None:
         return
     img = np.zeros((8, 8))
     gaussian_blur(img, 1.0, backend="numba")
-    window_means(img, 2, 2, 4, 4, backend="numba")
     viterbi_step(np.zeros(4), np.zeros((4, 4)), np.zeros(4), backend="numba")
     dft_direct(np.zeros(8), backend="numba")

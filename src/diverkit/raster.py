@@ -93,12 +93,23 @@ def write_sequence(directory: str | Path, frames: list[Frame]) -> None:
         fh.write("\n")
 
 
+def _read_json_object(path: Path) -> dict:
+    """Parse a JSON file whose top level must be an object."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise CorruptFrameError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise CorruptFrameError(f"{path}: top level must be a JSON object")
+    return data
+
+
 def read_manifest(directory: str | Path) -> dict:
     path = Path(directory) / "manifest.json"
     if not path.exists():
         raise ValidationError(f"{directory}: missing manifest.json")
-    with open(path) as fh:
-        manifest = json.load(fh)
+    manifest = _read_json_object(path)
     for key in ("fps", "width", "height", "channels", "frame_count"):
         if key not in manifest:
             raise ValidationError(f"{path}: manifest missing key {key!r}")
@@ -131,5 +142,4 @@ def read_truth(directory: str | Path) -> dict | None:
     path = Path(directory) / "truth.json"
     if not path.exists():
         return None
-    with open(path) as fh:
-        return json.load(fh)
+    return _read_json_object(path)

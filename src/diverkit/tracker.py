@@ -1,7 +1,8 @@
 """Mixed-domain periodic-motion tracker.
 
 Spatial side: a hidden-Markov chain over grid windows, where the observation
-for a window is its blurred mean intensity, the emission model rewards
+for a window is its blurred mean intensity (one cached projection per grid
+axis, so ``A @ img @ B.T``), the emission model rewards
 intensities inside the configured flipper range, and transitions penalize
 window-center distance. A log-domain Viterbi table tracks the best path into
 every window; the pool of best terminal windows yields candidate trajectories.
@@ -17,6 +18,7 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -227,21 +229,40 @@ def band_score(spectrum: np.ndarray, cfg: TrackerConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-def frame_evidence(
-    frame: Frame,
-    grid: GridConfig,
-    sigma: float,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Evidence vector of a frame: blurred mean intensity of every window."""
+@functools.lru_cache(maxsize=16)
+def evidence_projections(grid: GridConfig, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (A, B) with ``A @ img @ B.T`` the blurred window means of ``img``.
+
+    A is (rows, H) and B is (cols, W): each is the window averaging along one
+    axis times that axis's symmetric-boundary Gaussian. Margin pixels that no
+    window covers only enter through the blur.
+    """
+
+    def project(count: int, win: int, length: int) -> np.ndarray:
+        averaging = np.repeat(np.eye(count), win, axis=1) / win
+        proj = averaging @ kernels.blur_matrix(length, sigma)[: count * win]
+        proj.setflags(write=False)
+        return proj
+
+    return (
+        project(grid.rows, grid.window_h, grid.frame_h),
+        project(grid.cols, grid.window_w, grid.frame_w),
+    )
+
+
+def frame_evidence(frame: Frame, grid: GridConfig, sigma: float) -> np.ndarray:
+    """Evidence vector of a frame: blurred mean intensity of every window.
+
+    Clipped to [0, 255] so round-off cannot push a saturated window out of an
+    intensity range that ends at 255.
+    """
     if frame.channels != 1:
         raise ValidationError("evidence needs gray frames; convert via luminance()")
-    if frame.width < grid.cols * grid.window_w or frame.height < grid.rows * grid.window_h:
+    if (frame.width, frame.height) != (grid.frame_w, grid.frame_h):
         raise ValidationError("frame dimensions inconsistent with the grid")
-    blurred = kernels.gaussian_blur(frame.pixels, sigma, backend=backend)
-    return kernels.window_means(
-        blurred, grid.rows, grid.cols, grid.window_h, grid.window_w, backend=backend
-    )
+    rows_proj, cols_proj = evidence_projections(grid, sigma)
+    evidence = (rows_proj @ frame.pixels @ cols_proj.T).reshape(-1)
+    return np.clip(evidence, 0.0, 255.0, out=evidence)
 
 
 def detect_from_evidence(
@@ -303,7 +324,7 @@ def run_detection_cycle(
     if grid is None:
         grid = grid_for(cfg, frames[0].width, frames[0].height)
     evidence = np.stack(
-        [frame_evidence(f, grid, cfg.gauss_sigma, backend) for f in frames]
+        [frame_evidence(f, grid, cfg.gauss_sigma) for f in frames]
     )
     log_trans = transition_log_matrix(grid)
     return detect_from_evidence(
@@ -329,7 +350,7 @@ class Tracker:
 
     def evidence(self, frame: Frame) -> np.ndarray:
         gray = luminance(frame) if frame.channels == 3 else frame
-        return frame_evidence(gray, self.grid, self.cfg.gauss_sigma, self.backend)
+        return frame_evidence(gray, self.grid, self.cfg.gauss_sigma)
 
     def detect(self, evidence: np.ndarray, cycle_index: int = 0) -> DetectionResult:
         return detect_from_evidence(

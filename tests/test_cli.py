@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -115,6 +117,19 @@ class TestTrack:
         code = main(["track", "--seq", str(diver_seq), "--out", "-"])
         assert code == 2
         assert "frame_000002.pgm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", ['{"fps": 10.0, "width":', "[1, 2]"])
+    def test_corrupt_manifest_exits_2_with_one_line(self, diver_seq, manifest):
+        (diver_seq / "manifest.json").write_text(manifest)
+        proc = subprocess.run(
+            [sys.executable, "-m", "diverkit.cli", "track", "--seq", str(diver_seq)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("I/O error:")
+        assert "manifest.json" in lines[0] and "Traceback" not in proc.stderr
 
 
 class TestDecode:

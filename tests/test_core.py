@@ -63,6 +63,13 @@ class TestFrame:
         with pytest.raises(ValidationError):
             Frame(np.full((2, 2), -1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_intensities(self, bad):
+        pixels = np.full((3, 3), 100.0)
+        pixels[1, 2] = bad
+        with pytest.raises(ValidationError):
+            Frame(pixels)
+
     def test_timestamp_is_index_over_fps(self):
         f = Frame(np.zeros((2, 2)), index=25, fps=10.0)
         assert f.timestamp_s == pytest.approx(2.5)

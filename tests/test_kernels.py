@@ -53,15 +53,6 @@ def test_lanes_agree_on_blur():
 
 
 @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-def test_lanes_agree_on_window_means():
-    rng = np.random.default_rng(1)
-    img = rng.uniform(0, 255, (60, 90))
-    a = kernels.window_means(img, 2, 3, 30, 30, backend="numpy")
-    b = kernels.window_means(img, 2, 3, 30, 30, backend="numba")
-    assert np.allclose(a, b, atol=1e-9)
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
 def test_lanes_agree_on_viterbi_step():
     rng = np.random.default_rng(2)
     for m in (1, 4, 9, 25):
@@ -107,6 +98,16 @@ def test_blur_matches_scipy():
     mine = kernels.gaussian_blur(img, 1.0, backend="numpy")
     ref = gaussian_filter(img, 1.0, truncate=3.0, mode="reflect")
     assert np.allclose(mine, ref, atol=1e-9)
+
+
+def test_blur_matrices_reproduce_the_blur():
+    rng = np.random.default_rng(6)
+    img = rng.uniform(0, 255, (23, 41))
+    for sigma in (0.0, 1.0, 9.0):
+        rows = kernels.blur_matrix(23, sigma)
+        cols = kernels.blur_matrix(41, sigma)
+        mine = kernels.gaussian_blur(img, sigma, backend="numpy")
+        assert np.allclose(rows @ img @ cols.T, mine, atol=1e-9)
 
 
 @pytest.mark.parametrize("backend", LANES)

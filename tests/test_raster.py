@@ -73,6 +73,20 @@ def test_missing_manifest_rejected(tmp_path):
         read_sequence(tmp_path / "seq")
 
 
+@pytest.mark.parametrize("text", ["{not json", "[]", "\"frames\""])
+def test_corrupt_manifest_raises(tmp_path, text):
+    write_sequence(tmp_path / "seq", [Frame(np.zeros((6, 8)))])
+    (tmp_path / "seq" / "manifest.json").write_text(text)
+    with pytest.raises(CorruptFrameError, match="manifest.json"):
+        read_sequence(tmp_path / "seq")
+
+
+def test_corrupt_truth_raises(tmp_path):
+    (tmp_path / "truth.json").write_bytes(b"\xff\xfe{")
+    with pytest.raises(CorruptFrameError, match="truth.json"):
+        read_truth(tmp_path)
+
+
 def test_empty_sequence_rejected(tmp_path):
     with pytest.raises(ValidationError):
         write_sequence(tmp_path / "seq", [])

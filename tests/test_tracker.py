@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from diverkit import synth, tracker
-from diverkit.core import GridConfig, TrackerConfig, ValidationError
+from diverkit import kernels, synth, tracker
+from diverkit.core import Frame, GridConfig, TrackerConfig, ValidationError
 from diverkit.tracker import (
     HmmTables,
     OpCounters,
@@ -73,6 +73,72 @@ class TestEvidenceModels:
         e = np.array([0.0, 170.0, 180.0, 240.0, 255.0])
         vec = evidence_prior_vec(e, CFG)
         assert vec == pytest.approx([evidence_prior(v, CFG) for v in e])
+
+
+def scipy_evidence(pixels, grid, sigma):
+    """Independent reference: scipy blur, then row-major window means."""
+    from scipy.ndimage import gaussian_filter
+
+    blurred = gaussian_filter(pixels, sigma, truncate=3.0, mode="reflect")
+    crop = blurred[: grid.rows * grid.window_h, : grid.cols * grid.window_w]
+    windows = crop.reshape(grid.rows, grid.window_h, grid.cols, grid.window_w)
+    return windows.mean(axis=(1, 3)).ravel()
+
+
+class TestFrameEvidence:
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 3.3])
+    def test_matches_scipy_on_grids_with_margins(self, sigma):
+        rng = np.random.default_rng(int(sigma * 10))
+        for _ in range(6):
+            h, w = (int(v) for v in rng.integers(25, 130, 2))
+            win_h, win_w = (int(v) for v in rng.integers(4, 25, 2))
+            grid = GridConfig(w, h, win_w, win_h)
+            pixels = rng.uniform(0.0, 255.0, (h, w))
+            got = tracker.Tracker(
+                TrackerConfig(window_w=win_w, window_h=win_h, gauss_sigma=sigma, pool=1),
+                w,
+                h,
+            ).evidence(Frame(pixels))
+            assert got.shape == (grid.num_windows,)
+            np.testing.assert_allclose(
+                got, scipy_evidence(pixels, grid, sigma), rtol=0, atol=1e-9
+            )
+
+    def test_radius_larger_than_frame_reflects_like_scipy(self):
+        rng = np.random.default_rng(11)
+        grid = GridConfig(17, 13, 5, 4)  # sigma 7 reaches 21 px past each edge
+        pixels = rng.uniform(0.0, 255.0, (13, 17))
+        got = tracker.frame_evidence(Frame(pixels), grid, 7.0)
+        np.testing.assert_allclose(got, scipy_evidence(pixels, grid, 7.0), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 3.3])
+    def test_saturated_windows_count_inside_range(self, sigma):
+        # unclipped, sigma 2 sums a constant 255 frame to 255 + 6e-14
+        grid = GridConfig(97, 71, 30, 30)
+        evidence = tracker.frame_evidence(Frame(np.full((71, 97), 255.0)), grid, sigma)
+        assert (evidence_loglik_vec(evidence, CFG) == math.log(1.0 - CFG.epsilon)).all()
+
+    def test_frame_must_match_the_grid(self):
+        with pytest.raises(ValidationError):
+            tracker.frame_evidence(Frame(np.zeros((61, 60))), GridConfig(60, 60), 1.0)
+
+    def test_projections_cached_and_read_only(self):
+        grid = GridConfig(90, 60, 30, 20)
+        rows_proj, cols_proj = tracker.evidence_projections(grid, 1.0)
+        assert tracker.evidence_projections(GridConfig(90, 60, 30, 20), 1.0)[0] is rows_proj
+        assert rows_proj.shape == (3, 60) and cols_proj.shape == (3, 90)
+        with pytest.raises(ValueError):
+            rows_proj[0, 0] = 1.0
+
+    def test_track_sequence_never_blurs(self, monkeypatch):
+        def no_blur(*args, **kwargs):
+            raise AssertionError("the tracker path must not call gaussian_blur")
+
+        monkeypatch.setattr(kernels, "gaussian_blur", no_blur)
+        frames, _ = synth.render_diver_sequence(
+            synth.DiverSceneSpec(frames=30, width=90, height=90, start=(45.0, 45.0))
+        )
+        assert len(track_sequence(frames, CFG)) == 2
 
 
 class TestTransitions:
