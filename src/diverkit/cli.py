@@ -162,6 +162,8 @@ def cmd_decode(args) -> int:
                 [tuple(p) for p in truth_raw["gesture_labels"]]
             )
         else:
+            if any(f.channels != 3 for f in frames):
+                raise ValidationError(f"{args.seq}: the shape recognizer needs an RGB sequence")
             recognizer = ShapeRecognizer()
         stream = [recognizer(f, i) for i, f in enumerate(frames)]
     instructions = lang.decode(stream, mapping)

@@ -224,43 +224,48 @@ class TrackerConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrackerConfig":
-        known = {
-            "T",
-            "p",
-            "delta",
-            "epsilon",
-            "R",
-            "fps",
-            "band",
-            "stride",
-            "window",
-            "gauss_sigma",
-        }
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValidationError("tracker config must be a JSON object")
+        unknown = set(raw) - set(_TRACKER_KEYS)
         if unknown:
             raise ValidationError(f"unknown tracker config keys: {sorted(unknown)}")
         kwargs = {}
-        if "T" in raw:
-            kwargs["slide"] = int(raw["T"])
-        if "p" in raw:
-            kwargs["pool"] = int(raw["p"])
-        if "delta" in raw:
-            kwargs["delta"] = float(raw["delta"])
-        if "epsilon" in raw:
-            kwargs["epsilon"] = float(raw["epsilon"])
-        if "R" in raw:
-            kwargs["intensity_range"] = tuple(raw["R"])
-        if "fps" in raw:
-            kwargs["fps"] = float(raw["fps"])
-        if "band" in raw:
-            kwargs["band"] = tuple(raw["band"])
-        if "stride" in raw:
-            kwargs["stride"] = int(raw["stride"])
-        if "window" in raw:
-            kwargs["window_w"], kwargs["window_h"] = (int(v) for v in raw["window"])
-        if "gauss_sigma" in raw:
-            kwargs["gauss_sigma"] = float(raw["gauss_sigma"])
+        for key, value in raw.items():
+            name, convert = _TRACKER_KEYS[key]
+            try:
+                kwargs[name] = convert(value)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"tracker config key {key!r}: cannot read {value!r}"
+                ) from None
+        if "window" in kwargs:
+            kwargs["window_w"], kwargs["window_h"] = kwargs.pop("window")
         return cls(**kwargs)
+
+
+def _pair(convert):
+    """Converter of a two-element JSON list."""
+
+    def pair(value):
+        lo, hi = (convert(v) for v in value)
+        return lo, hi
+
+    return pair
+
+
+# tracker config JSON key -> (TrackerConfig field, converter)
+_TRACKER_KEYS = {
+    "T": ("slide", int),
+    "p": ("pool", int),
+    "delta": ("delta", float),
+    "epsilon": ("epsilon", float),
+    "R": ("intensity_range", _pair(float)),
+    "fps": ("fps", float),
+    "band": ("band", _pair(float)),
+    "stride": ("stride", int),
+    "window": ("window", _pair(int)),
+    "gauss_sigma": ("gauss_sigma", float),
+}
 
 
 def load_tracker_config(path: str | Path) -> TrackerConfig:

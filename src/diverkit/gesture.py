@@ -6,6 +6,12 @@ nearest-neighbor matching of a small shape descriptor against a per-class
 template bank. The descriptor is ``(extent, eccentricity, solidity)``, all in
 [0, 1].
 
+The skin threshold keeps each blurred channel as its own plane. V and S come
+from plane-wise max/min over the whole frame; hue, the costly part, is
+computed only for the pixels whose S and V already lie inside the range, with
+the same per-pixel expressions as :func:`rgb_to_hsv`, so the mask equals a
+threshold of the full HSV image bit for bit.
+
 Recognizers are pluggable callables ``(frame, frame_index) -> GesturePairToken``
 so a learned detector can replace the shape pipeline later. Two ship here:
 ``ShapeRecognizer`` (the pipeline above) and ``OracleRecognizer`` (replays
@@ -93,36 +99,53 @@ class HsvRange:
         )
 
 
+def _value_saturation(r, g, b):
+    """V, S and the max-min span of three same-shape [0, 1] channel planes."""
+    maxc = np.maximum(np.maximum(r, g), b)
+    span = maxc - np.minimum(np.minimum(r, g), b)
+    s = np.divide(span, maxc, out=np.zeros_like(maxc), where=maxc > 0)
+    return maxc, s, span
+
+
+def _hue(r, g, b, maxc, span):
+    """Hue in degrees of [0, 1] channel values; 0 where the span is 0 (gray)."""
+    safe = np.where(span > 0, span, 1.0)
+    is_r = (maxc == r) & (span > 0)
+    is_g = (maxc == g) & (span > 0) & ~is_r
+    is_b = (span > 0) & ~is_r & ~is_g
+    h = np.zeros_like(maxc)
+    h = np.where(is_r, (g - b) / safe % 6.0, h)
+    h = np.where(is_g, (b - r) / safe + 2.0, h)
+    h = np.where(is_b, (r - g) / safe + 4.0, h)
+    return h * 60.0
+
+
 def rgb_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized RGB [0,255] to (H degrees, S, V) with S, V in [0, 1]."""
     arr = np.asarray(rgb, dtype=np.float64) / 255.0
     r, g, b = arr[..., 0], arr[..., 1], arr[..., 2]
-    maxc = arr.max(axis=-1)
-    minc = arr.min(axis=-1)
-    span = maxc - minc
-    v = maxc
-    s = np.where(maxc > 0, span / np.where(maxc > 0, maxc, 1.0), 0.0)
-    safe = np.where(span > 0, span, 1.0)
-    h = np.zeros_like(maxc)
-    is_r = (maxc == r) & (span > 0)
-    is_g = (maxc == g) & (span > 0) & ~is_r
-    is_b = (span > 0) & ~is_r & ~is_g
-    h = np.where(is_r, (g - b) / safe % 6.0, h)
-    h = np.where(is_g, (b - r) / safe + 2.0, h)
-    h = np.where(is_b, (r - g) / safe + 4.0, h)
-    return h * 60.0, s, v
+    v, s, span = _value_saturation(r, g, b)
+    return _hue(r, g, b, v, span), s, v
 
 
 def segment_skin(frame: Frame, hsv_range: HsvRange, sigma: float = 1.0) -> np.ndarray:
-    """Blur then threshold an RGB frame in HSV space; returns a bool mask."""
+    """Blur then threshold an RGB frame in HSV space; returns a bool mask.
+
+    The mask equals ``hsv_range.contains(*rgb_to_hsv(blurred))`` bit for bit,
+    but works on the three blurred channel planes and computes hue only for
+    the pixels whose S and V already lie inside the range.
+    """
     if frame.channels != 3:
         raise TypeError("segment_skin needs an RGB frame")
     rgb = frame.pixels
-    blurred = np.stack(
-        [kernels.gaussian_blur(rgb[:, :, c], sigma) for c in range(3)], axis=-1
-    )
-    h, s, v = rgb_to_hsv(blurred)
-    return hsv_range.contains(h, s, v)
+    r, g, b = (kernels.gaussian_blur(rgb[:, :, c], sigma) / 255.0 for c in range(3))
+    v, s, span = _value_saturation(r, g, b)
+    (s_lo, s_hi), (v_lo, v_hi) = hsv_range.s, hsv_range.v
+    idx = np.flatnonzero((s >= s_lo) & (s <= s_hi) & (v >= v_lo) & (v <= v_hi))
+    r, g, b, v, s, span = (a.ravel()[idx] for a in (r, g, b, v, s, span))
+    mask = np.zeros(rgb.shape[:2], dtype=bool)
+    mask.ravel()[idx] = hsv_range.contains(_hue(r, g, b, v, span), s, v)
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,13 @@ GESTURE_SPEC = {
 }
 
 
+def run_cli(*argv):
+    """Run the CLI in a child process, so an uncaught exception shows as a traceback."""
+    return subprocess.run(
+        [sys.executable, "-m", "diverkit.cli", *argv], capture_output=True, text=True
+    )
+
+
 @pytest.fixture
 def diver_seq(tmp_path):
     spec_path = tmp_path / "diver.json"
@@ -121,15 +128,21 @@ class TestTrack:
     @pytest.mark.parametrize("manifest", ['{"fps": 10.0, "width":', "[1, 2]"])
     def test_corrupt_manifest_exits_2_with_one_line(self, diver_seq, manifest):
         (diver_seq / "manifest.json").write_text(manifest)
-        proc = subprocess.run(
-            [sys.executable, "-m", "diverkit.cli", "track", "--seq", str(diver_seq)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("track", "--seq", str(diver_seq))
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("I/O error:")
         assert "manifest.json" in lines[0] and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("config", ['{"T": "abc"}', '{"delta": [1, 2]}'])
+    def test_wrongly_typed_config_exits_1_with_one_line(self, diver_seq, tmp_path, config):
+        cfg = tmp_path / "tracker.json"
+        cfg.write_text(config)
+        proc = run_cli("track", "--seq", str(diver_seq), "--config", str(cfg))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "tracker config" in lines[0] and "Traceback" not in proc.stderr
 
 
 class TestDecode:
@@ -183,6 +196,13 @@ class TestDecode:
         tokens = tmp_path / "tokens.jsonl"
         tokens.write_text("")
         assert main(["decode", "--tokens", str(tokens), "--mapping", str(mapping), "--out", "-"]) == 1
+
+    def test_gray_sequence_with_shape_recognizer_exits_1(self, diver_seq):
+        proc = run_cli("decode", "--seq", str(diver_seq), "--recognizer", "shape")
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "RGB" in lines[0] and "Traceback" not in proc.stderr
 
 
 class TestFollowCli:

@@ -231,6 +231,27 @@ class TestTrackerConfig:
         with pytest.raises(ValidationError):
             load_tracker_config(path)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"T": "abc"}', "'T'"),
+            ('{"delta": [1, 2]}', "'delta'"),
+            ('{"R": [180, 200, 255]}', "'R'"),
+            ('{"window": 30}', "'window'"),
+        ],
+    )
+    def test_wrongly_typed_value_names_key(self, tmp_path, text, key):
+        path = tmp_path / "tracker.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=key):
+            load_tracker_config(path)
+
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "tracker.json"
+        path.write_text("15")
+        with pytest.raises(ValidationError):
+            load_tracker_config(path)
+
 
 def test_window_center_spacing():
     grid = GridConfig(90, 90, 30, 30)

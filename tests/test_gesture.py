@@ -1,9 +1,13 @@
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diverkit import gesture, synth
+from diverkit import gesture, kernels, synth
 from diverkit.core import Frame, ValidationError
 from diverkit.gesture import (
     CacheEntry,
@@ -92,6 +96,72 @@ class TestSegmentSkin:
         blob_area = 2 * synth.hand_mask(GestureClass.zero).sum()
         perimeter = 2 * 2 * math.pi * 30  # two disk silhouettes of radius 30
         assert abs(int(mask.sum()) - blob_area) <= perimeter * 3.0
+
+
+def stacked_hsv(frame, sigma=1.0):
+    """Oracle: (H, S, V) of the stacked (h, w, 3) blurred frame."""
+    blurred = np.stack(
+        [kernels.gaussian_blur(frame.pixels[:, :, c], sigma) for c in range(3)], axis=-1
+    )
+    return rgb_to_hsv(blurred)
+
+
+@st.composite
+def skin_cases(draw):
+    """A frame, a blur sigma and an HSV range whose edges often sit on pixel values."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pixels = rng.integers(0, 256, (h, w, 3)).astype(np.float64)
+    else:
+        pixels = rng.uniform(0.0, 255.0, (h, w, 3))
+    # per-pixel odds of (kept, gray with span 0, black with maxc 0)
+    odds = draw(st.sampled_from([(1, 0, 0), (0.6, 0.2, 0.2), (0, 1, 0), (0, 0.5, 0.5)]))
+    kind = rng.choice(3, size=(h, w), p=odds)
+    pixels[kind == 1] = pixels[kind == 1][:, :1]
+    pixels[kind == 2] = 0.0
+    frame = Frame(pixels)
+    sigma = draw(st.sampled_from([0.0, 1.0, 2.5]))
+
+    hue, sat, val = (a.ravel() for a in stacked_hsv(frame, sigma))
+
+    def edge(seen, lo, hi):
+        on_pixel = st.integers(0, seen.size - 1).map(lambda i: float(seen[i]))
+        return draw(st.one_of(on_pixel, st.floats(lo, hi)))
+
+    # unsorted hue edges give a wrapping interval such as [350, 20]
+    hsv_range = HsvRange(
+        h=(edge(hue, 0.0, 359.99), edge(hue, 0.0, 359.99)),
+        s=tuple(sorted((edge(sat, 0.0, 1.0), edge(sat, 0.0, 1.0)))),
+        v=tuple(sorted((edge(val, 0.0, 1.0), edge(val, 0.0, 1.0)))),
+    )
+    return frame, sigma, hsv_range
+
+
+class TestSkinMaskEquality:
+    @settings(max_examples=300, deadline=None)
+    @given(skin_cases())
+    def test_matches_stacked_hsv_threshold(self, case):
+        frame, sigma, hsv_range = case
+        got = segment_skin(frame, hsv_range, sigma)
+        assert got.dtype == bool
+        assert np.array_equal(got, hsv_range.contains(*stacked_hsv(frame, sigma)))
+
+    def test_matches_on_noisy_study_scene(self):
+        raw = resources.files("diverkit").joinpath(
+            "data", "experiments", "study_instructions.json"
+        ).read_text()
+        scene = dict(json.loads(raw)["scene"], noise_sigma=10.0, jitter=3)
+        frames, _ = synth.render_gesture_sequence(synth.GestureSceneSpec.from_dict(scene))
+        hsv_range, _ = load_gesture_config()
+        mismatched = [
+            f.index
+            for f in frames
+            if not np.array_equal(
+                segment_skin(f, hsv_range), hsv_range.contains(*stacked_hsv(f))
+            )
+        ]
+        assert len(frames) == 260 and mismatched == []
 
 
 class TestRegions:
