@@ -26,7 +26,6 @@ from .core import (
     ValidationError,
     grid_for,
     load_tracker_config,
-    luminance,
 )
 from .gesture import GesturePairToken, OracleRecognizer, ShapeRecognizer
 from .raster import CorruptFrameError
@@ -89,7 +88,7 @@ def cmd_synth(args) -> int:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{args.spec}: not valid JSON ({exc})") from exc
-    if args.seed is not None:
+    if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     if args.kind == "diver":
         spec = synth.DiverSceneSpec.from_dict(raw)
@@ -110,10 +109,10 @@ def _open_out(path: str):
 
 
 def cmd_track(args) -> int:
-    frames = raster.read_sequence(args.seq)
+    manifest = raster.read_manifest(args.seq)
     cfg = load_tracker_config(args.config) if args.config else TrackerConfig()
-    gray = [luminance(f) for f in frames]
-    results = tracker.track_sequence(gray, cfg)
+    # frames stream into the tracker; nothing is written until every one is read
+    results = tracker.track_sequence(raster.iter_sequence(args.seq), cfg)
     out, close = _open_out(args.out)
     try:
         for result in results:
@@ -124,7 +123,7 @@ def cmd_track(args) -> int:
     truth_raw = raster.read_truth(args.seq)
     if truth_raw is not None and "centers" in truth_raw:
         truth = synth.GroundTruth.from_dict(truth_raw)
-        grid = grid_for(cfg, frames[0].width, frames[0].height)
+        grid = grid_for(cfg, manifest["width"], manifest["height"])
         report = harness.score_detection(results, truth, cfg, grid)
         print(f"cycles: {report.cycles}")
         for row in report.render_rows():
@@ -151,7 +150,6 @@ def cmd_decode(args) -> int:
     if args.tokens:
         stream = _read_token_stream(args.tokens)
     else:
-        frames = raster.read_sequence(args.seq)
         if args.recognizer == "oracle":
             truth_raw = raster.read_truth(args.seq)
             if truth_raw is None or "gesture_labels" not in truth_raw:
@@ -162,10 +160,12 @@ def cmd_decode(args) -> int:
                 [tuple(p) for p in truth_raw["gesture_labels"]]
             )
         else:
-            if any(f.channels != 3 for f in frames):
-                raise ValidationError(f"{args.seq}: the shape recognizer needs an RGB sequence")
             recognizer = ShapeRecognizer()
-        stream = [recognizer(f, i) for i, f in enumerate(frames)]
+        stream = []
+        for i, frame in enumerate(raster.iter_sequence(args.seq)):
+            if args.recognizer == "shape" and frame.channels != 3:
+                raise ValidationError(f"{args.seq}: the shape recognizer needs an RGB sequence")
+            stream.append(recognizer(frame, i))
     instructions = lang.decode(stream, mapping)
     out, close = _open_out(args.out)
     try:

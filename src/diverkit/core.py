@@ -1,8 +1,9 @@
 """Shared domain types: frames, the window grid, and tracker configuration.
 
-A frame is a float64 raster with intensities in [0, 255]. The grid chops a
-frame into equal non-overlapping windows; pixels in the right/bottom margin
-left over by the flooring are not part of any window.
+A frame is a float64 raster with intensities in [0, 255], built from uint8
+pixels (as read from disk) or from any array whose values pass the range check.
+The grid chops a frame into equal non-overlapping windows; pixels in the
+right/bottom margin left over by the flooring are not part of any window.
 """
 
 from __future__ import annotations
@@ -29,15 +30,17 @@ class Frame:
     fps: float = 10.0
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.pixels, dtype=np.float64)
+        raw = np.asarray(self.pixels)
+        arr = np.ascontiguousarray(raw, dtype=np.float64)
         if arr.ndim == 3 and arr.shape[2] == 1:
             arr = arr[:, :, 0]
         if arr.ndim not in (2, 3) or (arr.ndim == 3 and arr.shape[2] != 3):
             raise ValidationError(f"frame must be (h, w) or (h, w, 3), got {arr.shape}")
         if arr.size == 0:
             raise ValidationError("empty frame")
-        # written so NaN fails too: every comparison with NaN is False
-        if not (arr.min() >= 0 and arr.max() <= 255):
+        # uint8 cannot leave [0, 255]; the scan is written so NaN fails too,
+        # as every comparison with NaN is False
+        if raw.dtype != np.uint8 and not (arr.min() >= 0 and arr.max() <= 255):
             raise ValidationError("pixel intensities must be finite and lie in [0, 255]")
         if self.fps <= 0:
             raise ValidationError("fps must be positive")
@@ -224,46 +227,64 @@ class TrackerConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrackerConfig":
-        if not isinstance(raw, dict):
-            raise ValidationError("tracker config must be a JSON object")
-        unknown = set(raw) - set(_TRACKER_KEYS)
-        if unknown:
-            raise ValidationError(f"unknown tracker config keys: {sorted(unknown)}")
-        kwargs = {}
-        for key, value in raw.items():
-            name, convert = _TRACKER_KEYS[key]
-            try:
-                kwargs[name] = convert(value)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"tracker config key {key!r}: cannot read {value!r}"
-                ) from None
+        kwargs = read_fields(raw, _TRACKER_KEYS, "tracker config")
         if "window" in kwargs:
             kwargs["window_w"], kwargs["window_h"] = kwargs.pop("window")
         return cls(**kwargs)
 
 
-def _pair(convert):
+def read_fields(raw: dict, table: dict, what: str) -> dict:
+    """Keyword arguments from a JSON object via a key -> (field, converter) table.
+
+    A non-object, an unknown key, or a value its converter cannot read raises a
+    :class:`ValidationError` naming ``what`` and the key. A ValidationError from
+    a converter (a nested object's own check) passes through unchanged.
+    """
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    unknown = set(raw) - set(table)
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {sorted(unknown)}")
+    kwargs = {}
+    for key, value in raw.items():
+        name, convert = table[key]
+        try:
+            kwargs[name] = convert(value)
+        except ValidationError:
+            raise
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"{what} key {key!r}: cannot read {value!r}") from None
+    return kwargs
+
+
+def integer(value) -> int:
+    """Converter of an integral JSON number; bools and fractions are refused, not truncated."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def pair(convert):
     """Converter of a two-element JSON list."""
 
-    def pair(value):
+    def convert_pair(value):
         lo, hi = (convert(v) for v in value)
         return lo, hi
 
-    return pair
+    return convert_pair
 
 
 # tracker config JSON key -> (TrackerConfig field, converter)
 _TRACKER_KEYS = {
-    "T": ("slide", int),
-    "p": ("pool", int),
+    "T": ("slide", integer),
+    "p": ("pool", integer),
     "delta": ("delta", float),
     "epsilon": ("epsilon", float),
-    "R": ("intensity_range", _pair(float)),
+    "R": ("intensity_range", pair(float)),
     "fps": ("fps", float),
-    "band": ("band", _pair(float)),
-    "stride": ("stride", int),
-    "window": ("window", _pair(int)),
+    "band": ("band", pair(float)),
+    "stride": ("stride", integer),
+    "window": ("window", pair(integer)),
     "gauss_sigma": ("gauss_sigma", float),
 }
 

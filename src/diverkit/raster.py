@@ -4,12 +4,18 @@ A sequence directory holds one ``frame_%06d.pgm`` (gray, P5) or ``.ppm``
 (RGB, P6) file per frame plus ``manifest.json`` with
 ``{fps, width, height, channels, frame_count}``. Synthetic scenes also drop a
 ``truth.json`` next to the frames.
+
+:func:`iter_sequence` reads and checks one file per frame as the consumer asks
+for it, so a pipeline that reduces each frame as it arrives (``track``) holds
+one frame at a time; :func:`read_sequence` is the same reader collected into a
+list.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +48,11 @@ def write_pnm(path: str | Path, pixels: np.ndarray) -> None:
 
 
 def read_pnm(path: str | Path) -> np.ndarray:
-    """Read a binary PGM/PPM file into a float64 array in [0, 255]."""
+    """Read a binary PGM/PPM file into a read-only uint8 (h, w) or (h, w, 3) array.
+
+    The array is a view of the file's bytes, with no float copy; :class:`Frame`
+    converts it to float64 once.
+    """
     data = Path(path).read_bytes()
     m = _HEADER.match(data)
     if not m:
@@ -51,11 +61,10 @@ def read_pnm(path: str | Path) -> np.ndarray:
     if maxval != 255:
         raise CorruptFrameError(f"{path}: unsupported maxval {maxval}")
     channels = 1 if magic == b"P5" else 3
-    body = data[m.end() :]
     expected = w * h * channels
-    if len(body) < expected:
+    if len(data) - m.end() < expected:
         raise CorruptFrameError(f"{path}: truncated pixel data")
-    arr = np.frombuffer(body[:expected], dtype=np.uint8).astype(np.float64)
+    arr = np.frombuffer(data, dtype=np.uint8, count=expected, offset=m.end())
     if channels == 1:
         return arr.reshape(h, w)
     return arr.reshape(h, w, 3)
@@ -113,14 +122,21 @@ def read_manifest(directory: str | Path) -> dict:
     for key in ("fps", "width", "height", "channels", "frame_count"):
         if key not in manifest:
             raise ValidationError(f"{path}: manifest missing key {key!r}")
+    for key in ("width", "height", "channels", "frame_count"):
+        if type(manifest[key]) is not int:
+            raise ValidationError(f"{path}: manifest {key!r} must be an integer")
     return manifest
 
 
-def read_sequence(directory: str | Path) -> list[Frame]:
-    """Read a frame sequence written by :func:`write_sequence`."""
+def iter_sequence(directory: str | Path) -> Iterator[Frame]:
+    """Yield the frames of a sequence written by :func:`write_sequence` in order.
+
+    Lazy: the manifest is read at the first request and each frame file only
+    when its frame is requested, so a missing, corrupt or misshapen file
+    raises after the frames before it have been yielded.
+    """
     directory = Path(directory)
     manifest = read_manifest(directory)
-    frames = []
     for idx in range(manifest["frame_count"]):
         path = directory / frame_filename(idx, manifest["channels"])
         if not path.exists():
@@ -128,8 +144,12 @@ def read_sequence(directory: str | Path) -> list[Frame]:
         pixels = read_pnm(path)
         if pixels.shape[0] != manifest["height"] or pixels.shape[1] != manifest["width"]:
             raise CorruptFrameError(f"{path}: frame shape disagrees with manifest")
-        frames.append(Frame(pixels, index=idx, fps=manifest["fps"]))
-    return frames
+        yield Frame(pixels, index=idx, fps=manifest["fps"])
+
+
+def read_sequence(directory: str | Path) -> list[Frame]:
+    """Read a whole frame sequence written by :func:`write_sequence` into a list."""
+    return list(iter_sequence(directory))
 
 
 def write_truth(directory: str | Path, truth: dict) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Frame, GridConfig, ValidationError
+from .core import Frame, GridConfig, ValidationError, integer, pair, read_fields
 from .gesture import GestureClass
 
 PATH_KINDS = ("static", "straight", "sideways", "sinusoid")
@@ -128,17 +128,28 @@ class DiverSceneSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "DiverSceneSpec":
-        try:
-            kwargs = dict(raw)
-            if "flipper" in kwargs:
-                kwargs["flipper"] = Flipper(**kwargs["flipper"])
-            if "path" in kwargs:
-                kwargs["path"] = PathSpec(**kwargs["path"])
-            if "start" in kwargs:
-                kwargs["start"] = tuple(kwargs["start"])
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ValidationError(f"bad diver scene spec: {exc}") from exc
+        return cls(**read_fields(raw, _DIVER_KEYS, "diver scene spec"))
+
+
+def _fields(names, convert) -> dict:
+    return {name: (name, convert) for name in names}
+
+
+def _nested(cls, table: dict, what: str):
+    """Converter of a nested JSON object into ``cls``."""
+    return lambda raw: cls(**read_fields(raw, table, what))
+
+
+# diver scene spec JSON key -> (field, converter)
+_FLIPPER_KEYS = _fields(("radius", "intensity", "amplitude", "frequency"), float)
+_PATH_KEYS = {"kind": ("kind", str), **_fields(("vx", "vy", "amplitude", "period"), float)}
+_DIVER_KEYS = {
+    **_fields(("frames", "width", "height", "seed"), integer),
+    **_fields(("fps", "background", "noise_sigma"), float),
+    "flipper": ("flipper", _nested(Flipper, _FLIPPER_KEYS, "diver scene spec flipper")),
+    "path": ("path", _nested(PathSpec, _PATH_KEYS, "diver scene spec path")),
+    "start": ("start", pair(float)),
+}
 
 
 @dataclass

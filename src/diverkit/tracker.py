@@ -19,7 +19,9 @@ reproducible.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,17 +376,26 @@ def cycle_start_frames(frame_count: int, cfg: TrackerConfig) -> list[int]:
 
 
 def track_sequence(
-    frames: list[Frame],
+    frames: Iterable[Frame],
     cfg: TrackerConfig,
     counters: OpCounters | None = None,
     backend: str | None = None,
 ) -> list[DetectionResult]:
-    """Detect over a whole sequence, one cycle every ``stride`` frames."""
-    starts = cycle_start_frames(len(frames), cfg)
-    tracker = Tracker(cfg, frames[0].width, frames[0].height, backend)
+    """Detect over a whole sequence, one cycle every ``stride`` frames.
+
+    ``frames`` may be any iterable, such as :func:`raster.iter_sequence`. Each
+    frame is reduced to its evidence row as it arrives, so only the (n, M)
+    evidence matrix is held, never the frames.
+    """
+    frames = iter(frames)
+    first = next(frames, None)
+    if first is None:
+        raise ValidationError("cannot track an empty sequence")
+    tracker = Tracker(cfg, first.width, first.height, backend)
     if counters is not None:
         tracker.counters = counters
-    evidence = np.stack([tracker.evidence(f) for f in frames])
+    evidence = np.stack([tracker.evidence(f) for f in itertools.chain([first], frames)])
+    starts = cycle_start_frames(len(evidence), cfg)
     results = []
     for cycle_index, start in enumerate(starts):
         results.append(

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from diverkit.cli import main
+from diverkit.raster import write_pnm
 
 DIVER_SPEC = {
     "frames": 45,
@@ -72,6 +75,23 @@ class TestSynth:
         code = main(["synth", "--kind", "diver", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "background" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"flipper": dict(DIVER_SPEC["flipper"], radius="big")}, "'radius'"),
+            ({"path": {"kind": "straight", "vx": [1]}}, "'vx'"),
+            ({"width": 90.5}, "'width'"),
+        ],
+    )
+    def test_wrongly_typed_spec_exits_1_with_one_line(self, tmp_path, change, key):
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(dict(DIVER_SPEC, **change)))
+        proc = run_cli("synth", "--kind", "diver", "--spec", str(spec_path), "--out", str(tmp_path / "x"))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert key in lines[0] and "Traceback" not in proc.stderr
 
     def test_unwritable_out_exits_2(self, tmp_path):
         # a regular file squatting on the output path defeats mkdir even as root
@@ -145,6 +165,39 @@ class TestTrack:
         assert "tracker config" in lines[0] and "Traceback" not in proc.stderr
 
 
+    def test_corrupt_late_frame_exits_2_writing_nothing(self, diver_seq, tmp_path):
+        (diver_seq / "frame_000040.pgm").write_bytes(b"P5\n90 90\n255\n\x00")
+        out = tmp_path / "det.jsonl"
+        assert main(["track", "--seq", str(diver_seq), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_non_integral_config_exits_1_with_one_line(self, diver_seq, tmp_path):
+        cfg = tmp_path / "tracker.json"
+        cfg.write_text('{"T": 15.7, "stride": 15.9}')
+        proc = run_cli("track", "--seq", str(diver_seq), "--config", str(cfg))
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "'T'" in lines[0] and "Traceback" not in proc.stderr
+
+    def test_peak_memory_is_below_a_few_frames(self, tmp_path):
+        spec = dict(DIVER_SPEC, frames=60, width=320, height=240, start=[160.0, 120.0])
+        spec_path = tmp_path / "diver.json"
+        spec_path.write_text(json.dumps(spec))
+        seq = tmp_path / "seq"
+        assert main(["synth", "--kind", "diver", "--spec", str(spec_path), "--out", str(seq)]) == 0
+        out = tmp_path / "det.jsonl"
+        tracemalloc.start()
+        try:
+            code = main(["track", "--seq", str(seq), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(out.read_text().splitlines()) == 4
+        # holding the sequence as float64 frames would take 60 of them
+        assert peak < 8 * 320 * 240 * 8
+
+
 class TestDecode:
     def test_from_token_file(self, tmp_path, capsys):
         tokens = tmp_path / "tokens.jsonl"
@@ -203,6 +256,17 @@ class TestDecode:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "RGB" in lines[0] and "Traceback" not in proc.stderr
+
+
+    def test_gray_frame_late_in_rgb_sequence_exits_1_writing_nothing(self, gesture_seq, tmp_path):
+        manifest = json.loads((gesture_seq / "manifest.json").read_text())
+        gray = np.zeros((manifest["height"], manifest["width"]))
+        write_pnm(gesture_seq / "frame_000030.ppm", gray)  # a P5 file under the .ppm name
+        out = tmp_path / "ins.jsonl"
+        code = main(
+            ["decode", "--seq", str(gesture_seq), "--recognizer", "shape", "--out", str(out)]
+        )
+        assert code == 1 and not out.exists()
 
 
 class TestFollowCli:

@@ -70,6 +70,34 @@ class TestFrame:
         with pytest.raises(ValidationError):
             Frame(pixels)
 
+    @pytest.mark.parametrize(
+        "dtype, bad",
+        [
+            (np.float32, np.nan),
+            (np.float32, np.inf),
+            (np.float32, -1),
+            (np.float32, 256),
+            (np.float64, 256),
+            (np.int16, -1),
+            (np.int16, 256),
+        ],
+    )
+    def test_non_uint8_input_keeps_the_range_scan(self, dtype, bad):
+        pixels = np.full((3, 3), 100, dtype=dtype)
+        pixels[2, 0] = bad
+        with pytest.raises(ValidationError):
+            Frame(pixels)
+
+    def test_uint8_input_equals_float_input(self):
+        values = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        from_uint8 = Frame(values)
+        from_float = Frame(values.astype(np.float64))
+        assert from_uint8.pixels.dtype == np.float64
+        assert (from_uint8.pixels == from_float.pixels).all()
+        assert not from_uint8.pixels.flags.writeable
+        rgb = np.stack([values, values[::-1], values.T], axis=2)
+        assert (Frame(rgb).pixels == Frame(rgb.astype(np.float64)).pixels).all()
+
     def test_timestamp_is_index_over_fps(self):
         f = Frame(np.zeros((2, 2)), index=25, fps=10.0)
         assert f.timestamp_s == pytest.approx(2.5)
@@ -245,6 +273,27 @@ class TestTrackerConfig:
         path.write_text(text)
         with pytest.raises(ValidationError, match=key):
             load_tracker_config(path)
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"T": 15.7, "stride": 15.9}, "'T'"),
+            ({"stride": 14.5}, "'stride'"),
+            ({"window": [30.9, 20.2]}, "'window'"),
+            ({"p": True}, "'p'"),
+            ({"T": float("inf")}, "'T'"),
+            ({"T": 10**400}, "'T'"),
+        ],
+    )
+    def test_integer_keys_refuse_non_integers(self, raw, key):
+        with pytest.raises(ValidationError, match=key):
+            TrackerConfig.from_dict(raw)
+
+    def test_integer_keys_accept_integral_numbers(self):
+        cfg = TrackerConfig.from_dict({"T": 10.0, "p": 3, "stride": 5.0, "window": [30.0, 20]})
+        assert (cfg.slide, cfg.pool, cfg.stride) == (10, 3, 5)
+        assert (cfg.window_w, cfg.window_h) == (30, 20)
+        assert all(type(v) is int for v in (cfg.slide, cfg.stride, cfg.window_w))
 
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "tracker.json"

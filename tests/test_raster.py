@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from diverkit.core import Frame, ValidationError
 from diverkit.raster import (
     CorruptFrameError,
+    iter_sequence,
     read_pnm,
     read_sequence,
     read_truth,
@@ -27,6 +30,14 @@ def test_ppm_roundtrip(tmp_path):
     path = tmp_path / "a.ppm"
     write_pnm(path, img)
     assert (read_pnm(path) == img).all()
+
+
+def test_reader_returns_uint8(tmp_path):
+    path = tmp_path / "a.pgm"
+    write_pnm(path, np.arange(12, dtype=np.uint8).reshape(3, 4))
+    pixels = read_pnm(path)
+    assert pixels.dtype == np.uint8 and pixels.shape == (3, 4)
+    assert (pixels == np.arange(12).reshape(3, 4)).all()
 
 
 def test_reader_tolerates_comments(tmp_path):
@@ -61,6 +72,19 @@ def test_sequence_roundtrip_with_manifest(tmp_path):
     assert (back[1].pixels == 10.0).all()
 
 
+def test_iter_sequence_is_lazy(tmp_path):
+    frames = [Frame(np.full((6, 8), float(10 * i)), index=i) for i in range(5)]
+    write_sequence(tmp_path / "seq", frames)
+    victim = tmp_path / "seq" / "frame_000003.pgm"
+    victim.write_bytes(victim.read_bytes()[:-1])
+    stream = iter_sequence(tmp_path / "seq")
+    for idx in range(3):
+        frame = next(stream)
+        assert frame.index == idx and (frame.pixels == 10.0 * idx).all()
+    with pytest.raises(CorruptFrameError, match="frame_000003.pgm"):
+        next(stream)
+
+
 def test_rgb_sequence_uses_ppm(tmp_path):
     frames = [Frame(np.zeros((6, 8, 3)), index=0)]
     write_sequence(tmp_path / "seq", frames)
@@ -78,6 +102,16 @@ def test_corrupt_manifest_raises(tmp_path, text):
     write_sequence(tmp_path / "seq", [Frame(np.zeros((6, 8)))])
     (tmp_path / "seq" / "manifest.json").write_text(text)
     with pytest.raises(CorruptFrameError, match="manifest.json"):
+        read_sequence(tmp_path / "seq")
+
+
+@pytest.mark.parametrize("key, value", [("width", "8"), ("frame_count", 1.0), ("channels", True)])
+def test_manifest_integer_keys_checked(tmp_path, key, value):
+    write_sequence(tmp_path / "seq", [Frame(np.zeros((6, 8)))])
+    path = tmp_path / "seq" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(manifest, **{key: value})))
+    with pytest.raises(ValidationError, match=key):
         read_sequence(tmp_path / "seq")
 
 

@@ -132,6 +132,33 @@ class TestDiverScene:
         spec = self.spec(path=PathSpec("straight", vx=1.0, vy=0.5), noise_sigma=2.0)
         assert DiverSceneSpec.from_dict(spec.to_dict()) == spec
 
+    def test_spec_dict_numbers_are_converted(self):
+        raw = dict(self.spec(noise_sigma=2.0).to_dict(), background=60, fps=10)
+        raw["flipper"] = dict(raw["flipper"], radius=10)
+        spec = DiverSceneSpec.from_dict(raw)
+        assert type(spec.background) is float and type(spec.flipper.radius) is float
+        frames, _ = render_diver_sequence(spec)
+        ref, _ = render_diver_sequence(self.spec(noise_sigma=2.0))
+        assert all((a.pixels == b.pixels).all() for a, b in zip(frames, ref))
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"flipper": {"radius": "big"}}, "radius"),
+            ({"flipper": {"radius": None}}, "radius"),
+            ({"path": {"kind": "straight", "period": "x"}}, "period"),
+            ({"frames": 20.5}, "frames"),
+            ({"seed": True}, "seed"),
+            ({"start": [45.0]}, "start"),
+            ({"flipper": {"size": 3}}, "size"),
+            ({"colour": 1}, "colour"),
+        ],
+    )
+    def test_spec_dict_wrongly_typed_rejected(self, change, key):
+        raw = dict(self.spec().to_dict(), **change)
+        with pytest.raises(ValidationError, match=key):
+            DiverSceneSpec.from_dict(raw)
+
 
 class TestHandShapes:
     def test_ten_distinct_connected_silhouettes(self):

@@ -462,6 +462,36 @@ class TestTrackSequence:
     def test_short_sequence_rejected(self):
         with pytest.raises(ValidationError):
             track_sequence(self._frames(10), TrackerConfig())
+        with pytest.raises(ValidationError, match="shorter than the slide size"):
+            track_sequence(iter(self._frames(10)), TrackerConfig())
+
+    def test_empty_iterable_rejected(self):
+        with pytest.raises(ValidationError):
+            track_sequence([], TrackerConfig())
+        with pytest.raises(ValidationError):
+            track_sequence(iter(()), TrackerConfig())
+
+    @pytest.mark.parametrize("stride", [15, 1])
+    def test_generator_gives_the_list_records(self, stride):
+        spec = synth.DiverSceneSpec(
+            frames=50, width=90, height=90, noise_sigma=4.0, start=(45.0, 45.0), seed=9
+        )
+        frames, _ = render(spec)
+        cfg = TrackerConfig(stride=stride)
+        consumed = []
+
+        def stream():
+            for frame in frames:
+                consumed.append(frame.index)
+                yield frame
+
+        from_list = track_sequence(frames, cfg)
+        from_stream = track_sequence(stream(), cfg)
+        assert consumed == list(range(50))
+        assert len(from_stream) == (50 - 15) // stride + 1
+        assert [r.to_record() for r in from_stream] == [r.to_record() for r in from_list]
+        for a, b in zip(from_stream, from_list):
+            assert (a.trajectory == b.trajectory).all() and a.pool_scores == b.pool_scores
 
     def test_deterministic_across_runs(self):
         spec = synth.DiverSceneSpec(
