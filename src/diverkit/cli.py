@@ -3,7 +3,7 @@
 Subcommands: ``synth`` (render scenes), ``track`` (detect over a sequence),
 ``decode`` (gesture stream to instructions), ``follow`` (closed-loop servo
 simulation), ``experiment`` (spec-driven runs), ``bench`` (op counts and
-wall time per backend).
+per-cycle wall time of the tracker on random evidence).
 
 Exit codes: 0 success, 1 validation/config error, 2 I/O error.
 """
@@ -19,14 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, harness, kernels, lang, raster, servo, synth, tracker
-from .core import (
-    GridConfig,
-    TrackerConfig,
-    ValidationError,
-    grid_for,
-    load_tracker_config,
-)
+from . import __version__, harness, lang, raster, servo, synth, tracker
+from .core import TrackerConfig, ValidationError, grid_for, load_tracker_config
 from .gesture import GesturePairToken, OracleRecognizer, ShapeRecognizer
 from .raster import CorruptFrameError
 from .tracker import StateError
@@ -76,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", required=True, help="comma-separated window counts")
     p.add_argument("--T", required=True, help="comma-separated slide sizes")
     p.add_argument("--cycles", type=int, default=20)
-    p.add_argument("--backend", choices=["both", "numba", "numpy"], default="both")
+    p.add_argument(
+        "--backend", choices=["numpy"], default="numpy", help="kernel implementation named in the rows"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="also write rows as JSON")
     return parser
@@ -221,8 +217,6 @@ def cmd_bench(args) -> int:
     t_list = [int(v) for v in args.T.split(",") if v]
     if not m_list or not t_list:
         raise ValidationError("--M and --T need at least one value each")
-    backends = ["numba", "numpy"] if args.backend == "both" else [args.backend]
-    backends = [b for b in backends if b == "numpy" or kernels.HAS_NUMBA]
     rng = np.random.default_rng(args.seed)
     rows = []
     header = f"{'M':>6} {'T':>4} {'backend':>8} {'cycles':>7} {'trans_evals':>12} {'dft_mults':>10} {'ms/cycle':>9}"
@@ -231,38 +225,33 @@ def cmd_bench(args) -> int:
         cols, grid_rows = _grid_shape(m)
         for t in t_list:
             cfg = TrackerConfig(slide=t, pool=min(5, m), stride=t)
-            grid = GridConfig(cols * 30, grid_rows * 30, 30, 30)
-            log_trans = tracker.transition_log_matrix(grid)
+            trk = tracker.Tracker(cfg, cols * 30, grid_rows * 30)
             evidence = rng.uniform(0.0, 255.0, (args.cycles, t, m))
-            for backend in backends:
-                kernels.warmup(backend)
-                counters = tracker.OpCounters()
-                start = time.perf_counter()
-                for k in range(args.cycles):
-                    tracker.detect_from_evidence(
-                        evidence[k], cfg, grid, log_trans, k, counters, backend
-                    )
-                elapsed = time.perf_counter() - start
-                expected = args.cycles * t * m * m
-                if counters.transition_evals != expected:
-                    raise StateError(
-                        f"counter mismatch: {counters.transition_evals} != {expected}"
-                    )
-                row = {
-                    "M": m,
-                    "T": t,
-                    "backend": backend,
-                    "cycles": args.cycles,
-                    "transition_evals": counters.transition_evals,
-                    "dft_mults": counters.dft_mults,
-                    "ms_per_cycle": 1000.0 * elapsed / args.cycles,
-                }
-                rows.append(row)
-                print(
-                    f"{m:>6} {t:>4} {backend:>8} {args.cycles:>7} "
-                    f"{counters.transition_evals:>12} {counters.dft_mults:>10} "
-                    f"{row['ms_per_cycle']:>9.3f}"
+            start = time.perf_counter()
+            for k in range(args.cycles):
+                trk.detect(evidence[k], k)
+            elapsed = time.perf_counter() - start
+            counters = trk.counters
+            expected = args.cycles * t * m * m
+            if counters.transition_evals != expected:
+                raise StateError(
+                    f"counter mismatch: {counters.transition_evals} != {expected}"
                 )
+            row = {
+                "M": m,
+                "T": t,
+                "backend": args.backend,
+                "cycles": args.cycles,
+                "transition_evals": counters.transition_evals,
+                "dft_mults": counters.dft_mults,
+                "ms_per_cycle": 1000.0 * elapsed / args.cycles,
+            }
+            rows.append(row)
+            print(
+                f"{m:>6} {t:>4} {args.backend:>8} {args.cycles:>7} "
+                f"{counters.transition_evals:>12} {counters.dft_mults:>10} "
+                f"{row['ms_per_cycle']:>9.3f}"
+            )
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(rows, fh, indent=2, sort_keys=True)

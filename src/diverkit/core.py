@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
-
 
 class ValidationError(ValueError):
     """A domain object or config file violates its invariants."""
@@ -318,17 +316,6 @@ def luminance(frame: Frame) -> Frame:
     gray = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
     gray = np.clip(np.floor(gray + 0.5), 0.0, 255.0)
     return Frame(gray, index=frame.index, fps=frame.fps)
-
-
-def window_intensity(
-    frame: Frame, grid: GridConfig, i: int, sigma: float = 1.0
-) -> float:
-    """Mean of the Gaussian-blurred frame inside window ``i``."""
-    if frame.channels != 1:
-        raise TypeError("window_intensity needs a gray frame; convert via luminance()")
-    x, y, w, h = window_rect(grid, i)
-    blurred = kernels.gaussian_blur(frame.pixels, sigma)
-    return float(blurred[y : y + h, x : x + w].mean())
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ list.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections.abc import Iterator
 from pathlib import Path
@@ -125,6 +126,9 @@ def read_manifest(directory: str | Path) -> dict:
     for key in ("width", "height", "channels", "frame_count"):
         if type(manifest[key]) is not int:
             raise ValidationError(f"{path}: manifest {key!r} must be an integer")
+    fps = manifest["fps"]
+    if not (type(fps) is int or (type(fps) is float and math.isfinite(fps))):
+        raise ValidationError(f"{path}: manifest 'fps' must be a finite number")
     return manifest
 
 

@@ -181,15 +181,6 @@ class GroundTruth:
         )
 
 
-def seeded_noise(seed: int, sigma: float, shape: tuple[int, ...]) -> np.ndarray:
-    """Deterministic zero-mean Gaussian field; all zeros when sigma is 0."""
-    if sigma < 0:
-        raise ValidationError("noise sigma must be >= 0")
-    if sigma == 0:
-        return np.zeros(shape)
-    return np.random.default_rng(seed).normal(0.0, sigma, shape)
-
-
 def _disk_mask(width: int, height: int, cx: float, cy: float, r: float) -> np.ndarray:
     ys, xs = np.ogrid[:height, :width]
     return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
@@ -310,7 +301,7 @@ class GestureSceneSpec:
     """Segments tile the sequence; labels follow the person's hands, so the
     person's right hand is drawn in the viewer-left half of the frame."""
 
-    segments: tuple[GestureSegment, ...]
+    segments: tuple[GestureSegment, ...] = ()
     width: int = 320
     height: int = 240
     fps: float = 10.0
@@ -367,24 +358,36 @@ class GestureSceneSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GestureSceneSpec":
-        try:
-            kwargs = dict(raw)
-            kwargs["segments"] = tuple(
-                GestureSegment(
-                    left=GestureClass.from_name(seg["left"]) if seg.get("left") else None,
-                    right=GestureClass.from_name(seg["right"])
-                    if seg.get("right")
-                    else None,
-                    frames=int(seg["frames"]),
-                )
-                for seg in raw["segments"]
-            )
-            for key in ("skin", "background"):
-                if key in kwargs:
-                    kwargs[key] = tuple(kwargs[key])
-            return cls(**kwargs)
-        except (TypeError, KeyError) as exc:
-            raise ValidationError(f"bad gesture scene spec: {exc}") from exc
+        return cls(**read_fields(raw, _GESTURE_KEYS, "gesture scene spec"))
+
+
+def _hand(name) -> GestureClass | None:
+    """Converter of a segment's hand: a gesture class name, or null for no hand."""
+    return None if name is None else GestureClass.from_name(name)
+
+
+def _rgb(value) -> tuple[float, float, float]:
+    """Converter of a three-element JSON list of channel values."""
+    r, g, b = (float(v) for v in value)
+    return r, g, b
+
+
+def _segment(raw) -> GestureSegment:
+    """Converter of one segment; a hand left out is no hand, as null is."""
+    kwargs = read_fields(raw, _SEGMENT_KEYS, "gesture scene spec segment")
+    if "frames" not in kwargs:
+        raise ValidationError("gesture scene spec segment needs 'frames'")
+    return GestureSegment(**{"left": None, "right": None, **kwargs})
+
+
+# gesture scene spec JSON key -> (field, converter)
+_SEGMENT_KEYS = {**_fields(("left", "right"), _hand), "frames": ("frames", integer)}
+_GESTURE_KEYS = {
+    "segments": ("segments", lambda segments: tuple(_segment(s) for s in segments)),
+    **_fields(("width", "height", "jitter", "seed"), integer),
+    **_fields(("fps", "noise_sigma"), float),
+    **_fields(("skin", "background"), _rgb),
+}
 
 
 def hand_anchor(spec: GestureSceneSpec, person_side: str) -> tuple[int, int]:

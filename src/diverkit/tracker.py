@@ -61,44 +61,18 @@ class OpCounters:
 # ---------------------------------------------------------------------------
 
 
-def range_distance(value: float, lo: float, hi: float) -> float:
-    """Distance from ``value`` to the closed interval [lo, hi] (0 inside)."""
-    if lo <= value <= hi:
-        return 0.0
-    return min(abs(value - lo), abs(value - hi))
-
-
-def evidence_loglik(intensity: float, cfg: TrackerConfig) -> float:
-    """Log emission probability: log(1-eps) inside the range, log(eps) outside."""
-    lo, hi = cfg.intensity_range
-    if lo <= intensity <= hi:
-        return math.log(1.0 - cfg.epsilon)
-    return math.log(cfg.epsilon)
-
-
 def evidence_loglik_vec(evidence: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
+    """Log emission probability: log(1-eps) inside the range, log(eps) outside."""
     lo, hi = cfg.intensity_range
     inside = (evidence >= lo) & (evidence <= hi)
     return np.where(inside, math.log(1.0 - cfg.epsilon), math.log(cfg.epsilon))
 
 
-def evidence_prior(intensity: float, cfg: TrackerConfig) -> float:
-    """Unnormalized presence weight 1 / (1 + distance-to-range)."""
-    lo, hi = cfg.intensity_range
-    return 1.0 / (1.0 + range_distance(intensity, lo, hi))
-
-
 def evidence_prior_vec(evidence: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
+    """Unnormalized presence weight 1 / (1 + distance to the range)."""
     lo, hi = cfg.intensity_range
     dist = np.maximum(lo - evidence, 0.0) + np.maximum(evidence - hi, 0.0)
     return 1.0 / (1.0 + dist)
-
-
-def transition_raw_weight(i: int, j: int, grid: GridConfig) -> float:
-    """Smoothed reciprocal of the window-center distance, before row normalization."""
-    xi, yi = window_center(grid, i)
-    xj, yj = window_center(grid, j)
-    return 1.0 / (1.0 + math.hypot(xj - xi, yj - yi))
 
 
 def transition_log_matrix(grid: GridConfig) -> np.ndarray:
@@ -109,14 +83,6 @@ def transition_log_matrix(grid: GridConfig) -> np.ndarray:
     raw = 1.0 / (1.0 + np.sqrt((diff**2).sum(axis=2)))
     probs = raw / raw.sum(axis=1, keepdims=True)
     return np.log(probs)
-
-
-def transition_logweight(i: int, j: int, grid: GridConfig) -> float:
-    """Log probability of moving from window i to window j."""
-    grid._check_index(i)
-    grid._check_index(j)
-    total = sum(transition_raw_weight(i, k, grid) for k in range(grid.num_windows))
-    return math.log(transition_raw_weight(i, j, grid) / total)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +121,6 @@ def viterbi_update(
     cfg: TrackerConfig,
     log_trans: np.ndarray,
     counters: OpCounters | None = None,
-    backend: str | None = None,
 ) -> HmmTables:
     """Advance the table by one frame of evidence (one M^2 update)."""
     if tables.cycle_t >= tables.slide:
@@ -169,7 +134,7 @@ def viterbi_update(
     else:
         prev = tables.log_mu
     log_lik = evidence_loglik_vec(evidence, cfg)
-    new_mu, backptr, pairs = kernels.viterbi_step(prev, log_trans, log_lik, backend)
+    new_mu, backptr, pairs = kernels.viterbi_step(prev, log_trans, log_lik)
     if counters is not None:
         counters.transition_evals += pairs
     tables.log_mu = new_mu
@@ -206,13 +171,9 @@ def top_p_trajectories(
 # ---------------------------------------------------------------------------
 
 
-def dtft(
-    series: np.ndarray,
-    counters: OpCounters | None = None,
-    backend: str | None = None,
-) -> np.ndarray:
+def dtft(series: np.ndarray, counters: OpCounters | None = None) -> np.ndarray:
     """Direct DFT of an intensity series (X[k] = sum_t x[t] e^{-j2pi tk/T})."""
-    spectrum, mults = kernels.dft_direct(series, backend)
+    spectrum, mults = kernels.dft_direct(series)
     if counters is not None:
         counters.dft_mults += mults
     return spectrum
@@ -267,102 +228,58 @@ def frame_evidence(frame: Frame, grid: GridConfig, sigma: float) -> np.ndarray:
     return np.clip(evidence, 0.0, 255.0, out=evidence)
 
 
-def detect_from_evidence(
-    evidence: np.ndarray,
-    cfg: TrackerConfig,
-    grid: GridConfig,
-    log_trans: np.ndarray,
-    cycle_index: int = 0,
-    counters: OpCounters | None = None,
-    backend: str | None = None,
-) -> DetectionResult:
-    """One detection cycle over a (slide, M) evidence matrix."""
-    evidence = np.asarray(evidence, dtype=np.float64)
-    if evidence.shape != (cfg.slide, grid.num_windows):
-        raise ValidationError(
-            f"evidence must be ({cfg.slide}, {grid.num_windows}), got {evidence.shape}"
-        )
-    tables = HmmTables.fresh(grid.num_windows, cfg.slide)
-    for t in range(cfg.slide):
-        viterbi_update(tables, evidence[t], cfg, log_trans, counters, backend)
-    pool = top_p_trajectories(tables, cfg.pool)
-
-    best_traj = None
-    best_score = -1.0
-    pool_scores = []
-    for traj, _ in pool:
-        series = evidence[np.arange(cfg.slide), traj]
-        score = band_score(dtft(series, counters, backend), cfg)
-        pool_scores.append((int(traj[-1]), score))
-        if score > best_score or (
-            score == best_score and best_traj is not None and traj[-1] < best_traj[-1]
-        ):
-            best_traj = traj
-            best_score = score
-
-    cx, cy = window_center(grid, int(best_traj[-1]))
-    bbox = BoundingBox(cx, cy, grid.window_w, grid.window_h, best_score)
-    return DetectionResult(
-        trajectory=best_traj,
-        score=best_score,
-        detected=best_score >= cfg.delta,
-        bbox=bbox,
-        cycle_index=cycle_index,
-        pool_scores=tuple(pool_scores),
-    )
-
-
-def run_detection_cycle(
-    frames: list[Frame],
-    cfg: TrackerConfig,
-    grid: GridConfig | None = None,
-    cycle_index: int = 0,
-    counters: OpCounters | None = None,
-    backend: str | None = None,
-) -> DetectionResult:
-    """Run one cycle over exactly ``slide`` gray frames."""
-    if len(frames) != cfg.slide:
-        raise ValidationError(f"a detection cycle needs exactly {cfg.slide} frames")
-    if grid is None:
-        grid = grid_for(cfg, frames[0].width, frames[0].height)
-    evidence = np.stack(
-        [frame_evidence(f, grid, cfg.gauss_sigma) for f in frames]
-    )
-    log_trans = transition_log_matrix(grid)
-    return detect_from_evidence(
-        evidence, cfg, grid, log_trans, cycle_index, counters, backend
-    )
-
-
 class Tracker:
-    """Stateful convenience wrapper: grid, cached transitions, counters."""
+    """Tracker for one frame size: grid, cached transitions and work counters.
 
-    def __init__(
-        self,
-        cfg: TrackerConfig,
-        frame_w: int,
-        frame_h: int,
-        backend: str | None = None,
-    ):
+    :meth:`evidence` reduces a frame to its evidence row and :meth:`detect`
+    runs one detection cycle over ``slide`` such rows.
+    """
+
+    def __init__(self, cfg: TrackerConfig, frame_w: int, frame_h: int):
         self.cfg = cfg
         self.grid = grid_for(cfg, frame_w, frame_h)
         self.log_trans = transition_log_matrix(self.grid)
         self.counters = OpCounters()
-        self.backend = backend
 
     def evidence(self, frame: Frame) -> np.ndarray:
         gray = luminance(frame) if frame.channels == 3 else frame
         return frame_evidence(gray, self.grid, self.cfg.gauss_sigma)
 
     def detect(self, evidence: np.ndarray, cycle_index: int = 0) -> DetectionResult:
-        return detect_from_evidence(
-            evidence,
-            self.cfg,
-            self.grid,
-            self.log_trans,
-            cycle_index,
-            self.counters,
-            self.backend,
+        """One detection cycle over a (slide, M) evidence matrix."""
+        cfg, grid = self.cfg, self.grid
+        evidence = np.asarray(evidence, dtype=np.float64)
+        if evidence.shape != (cfg.slide, grid.num_windows):
+            raise ValidationError(
+                f"evidence must be ({cfg.slide}, {grid.num_windows}), got {evidence.shape}"
+            )
+        tables = HmmTables.fresh(grid.num_windows, cfg.slide)
+        for t in range(cfg.slide):
+            viterbi_update(tables, evidence[t], cfg, self.log_trans, self.counters)
+        pool = top_p_trajectories(tables, cfg.pool)
+
+        best_traj = None
+        best_score = -1.0
+        pool_scores = []
+        for traj, _ in pool:
+            series = evidence[np.arange(cfg.slide), traj]
+            score = band_score(dtft(series, self.counters), cfg)
+            pool_scores.append((int(traj[-1]), score))
+            if score > best_score or (
+                score == best_score and best_traj is not None and traj[-1] < best_traj[-1]
+            ):
+                best_traj = traj
+                best_score = score
+
+        cx, cy = window_center(grid, int(best_traj[-1]))
+        bbox = BoundingBox(cx, cy, grid.window_w, grid.window_h, best_score)
+        return DetectionResult(
+            trajectory=best_traj,
+            score=best_score,
+            detected=best_score >= cfg.delta,
+            bbox=bbox,
+            cycle_index=cycle_index,
+            pool_scores=tuple(pool_scores),
         )
 
 
@@ -379,7 +296,6 @@ def track_sequence(
     frames: Iterable[Frame],
     cfg: TrackerConfig,
     counters: OpCounters | None = None,
-    backend: str | None = None,
 ) -> list[DetectionResult]:
     """Detect over a whole sequence, one cycle every ``stride`` frames.
 
@@ -391,7 +307,7 @@ def track_sequence(
     first = next(frames, None)
     if first is None:
         raise ValidationError("cannot track an empty sequence")
-    tracker = Tracker(cfg, first.width, first.height, backend)
+    tracker = Tracker(cfg, first.width, first.height)
     if counters is not None:
         tracker.counters = counters
     evidence = np.stack([tracker.evidence(f) for f in itertools.chain([first], frames)])

@@ -79,15 +79,19 @@ class TestSynth:
     @pytest.mark.parametrize(
         "change, key",
         [
-            ({"flipper": dict(DIVER_SPEC["flipper"], radius="big")}, "'radius'"),
-            ({"path": {"kind": "straight", "vx": [1]}}, "'vx'"),
-            ({"width": 90.5}, "'width'"),
+            (("diver", {"flipper": dict(DIVER_SPEC["flipper"], radius="big")}), "'radius'"),
+            (("diver", {"path": {"kind": "straight", "vx": [1]}}), "'vx'"),
+            (("diver", {"width": 90.5}), "'width'"),
+            (("gesture", {"segments": [{"left": "one", "right": None, "frames": "x"}]}), "'frames'"),
+            (("gesture", {"segments": [{"left": "one", "right": None, "frames": 12.5}]}), "'frames'"),
         ],
     )
     def test_wrongly_typed_spec_exits_1_with_one_line(self, tmp_path, change, key):
+        kind, fields = change
+        spec = DIVER_SPEC if kind == "diver" else GESTURE_SPEC
         spec_path = tmp_path / "bad.json"
-        spec_path.write_text(json.dumps(dict(DIVER_SPEC, **change)))
-        proc = run_cli("synth", "--kind", "diver", "--spec", str(spec_path), "--out", str(tmp_path / "x"))
+        spec_path.write_text(json.dumps(dict(spec, **fields)))
+        proc = run_cli("synth", "--kind", kind, "--spec", str(spec_path), "--out", str(tmp_path / "x"))
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
@@ -153,6 +157,15 @@ class TestTrack:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("I/O error:")
         assert "manifest.json" in lines[0] and "Traceback" not in proc.stderr
+
+    def test_string_fps_in_manifest_exits_1_with_one_line(self, diver_seq):
+        path = diver_seq / "manifest.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), fps="10")))
+        proc = run_cli("track", "--seq", str(diver_seq))
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "'fps'" in lines[0] and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("config", ['{"T": "abc"}', '{"delta": [1, 2]}'])
     def test_wrongly_typed_config_exits_1_with_one_line(self, diver_seq, tmp_path, config):

@@ -13,9 +13,9 @@ from diverkit.core import (
     load_tracker_config,
     luminance,
     window_center,
-    window_intensity,
     window_rect,
 )
+from diverkit.tracker import frame_evidence
 
 
 def oracle_blur(img, sigma, truncate=3.0):
@@ -172,18 +172,19 @@ class TestLuminance:
 
 
 class TestWindowIntensity:
+    """A window's evidence is the mean of the blurred frame inside it."""
+
     def test_uniform_frame_preserved(self):
         f = Frame(np.full((60, 60), 200.0))
         grid = GridConfig(60, 60, 30, 30)
-        for i in range(4):
-            assert window_intensity(f, grid, i, sigma=1.0) == pytest.approx(200.0, abs=1e-9)
+        assert frame_evidence(f, grid, 1.0) == pytest.approx([200.0] * 4, abs=1e-9)
 
     def test_checkerboard_against_convolution_oracle(self):
         ys, xs = np.mgrid[:60, :60]
         board = ((xs + ys) % 2) * 255.0
         f = Frame(board)
         grid = GridConfig(60, 60, 30, 30)
-        got = window_intensity(f, grid, 0, sigma=1.0)
+        got = frame_evidence(f, grid, 1.0)[0]
         # frozen from oracle_blur(board, 1.0)[:30, :30].mean()
         assert got == pytest.approx(127.46557664062654, abs=1e-9)
         assert got == pytest.approx(127.5, abs=1.0)
@@ -193,21 +194,21 @@ class TestWindowIntensity:
     def test_all_zero_frame(self):
         f = Frame(np.zeros((60, 60)))
         grid = GridConfig(60, 60, 30, 30)
-        assert window_intensity(f, grid, 3, sigma=1.0) == 0.0
+        assert frame_evidence(f, grid, 1.0)[3] == 0.0
 
     def test_rgb_frame_rejected(self):
         f = Frame(np.zeros((60, 60, 3)))
         grid = GridConfig(60, 60, 30, 30)
-        with pytest.raises(TypeError):
-            window_intensity(f, grid, 0)
+        with pytest.raises(ValidationError):
+            frame_evidence(f, grid, 1.0)
 
     def test_linear_in_brightness(self):
         rng = np.random.default_rng(3)
         img = rng.uniform(0, 255, (60, 60))
         grid = GridConfig(60, 60, 30, 30)
         for c in (0.25, 0.5, 0.9):
-            a = window_intensity(Frame(img), grid, 1, sigma=1.2)
-            b = window_intensity(Frame(c * img), grid, 1, sigma=1.2)
+            a = frame_evidence(Frame(img), grid, 1.2)[1]
+            b = frame_evidence(Frame(c * img), grid, 1.2)[1]
             assert b == pytest.approx(c * a, rel=1e-12)
 
 

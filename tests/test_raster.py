@@ -105,7 +105,17 @@ def test_corrupt_manifest_raises(tmp_path, text):
         read_sequence(tmp_path / "seq")
 
 
-@pytest.mark.parametrize("key, value", [("width", "8"), ("frame_count", 1.0), ("channels", True)])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("width", "8"),
+        ("frame_count", 1.0),
+        ("channels", True),
+        ("fps", "10"),
+        ("fps", True),
+        ("fps", float("inf")),
+    ],
+)
 def test_manifest_integer_keys_checked(tmp_path, key, value):
     write_sequence(tmp_path / "seq", [Frame(np.zeros((6, 8)))])
     path = tmp_path / "seq" / "manifest.json"

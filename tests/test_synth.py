@@ -17,25 +17,7 @@ from diverkit.synth import (
     hand_mask,
     render_diver_sequence,
     render_gesture_sequence,
-    seeded_noise,
 )
-
-
-class TestSeededNoise:
-    def test_sigma_zero_is_all_zeros(self):
-        assert (seeded_noise(1, 0.0, (16, 16)) == 0.0).all()
-
-    def test_same_seed_identical(self):
-        a = seeded_noise(99, 3.0, (32, 32))
-        b = seeded_noise(99, 3.0, (32, 32))
-        assert (a == b).all()
-
-    def test_different_seeds_differ(self):
-        assert (seeded_noise(1, 3.0, (32, 32)) != seeded_noise(2, 3.0, (32, 32))).any()
-
-    def test_empirical_std(self):
-        field = seeded_noise(7, 5.0, (240, 320))
-        assert 4.75 <= field.std() <= 5.25
 
 
 class TestDiverScene:
@@ -255,3 +237,35 @@ class TestGestureScene:
     def test_empty_segments_rejected(self):
         with pytest.raises(ValidationError):
             GestureSceneSpec(segments=())
+
+    def test_spec_dict_numbers_and_hands_are_converted(self):
+        raw = {"segments": [{"left": "one", "frames": 3.0}], "skin": [205, 160, 130], "fps": 10}
+        spec = GestureSceneSpec.from_dict(raw)
+        assert spec.segments == (GestureSegment(GestureClass.one, None, 3),)
+        assert spec.skin == (205.0, 160.0, 130.0) and type(spec.skin[0]) is float
+        assert type(spec.fps) is float
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"segments": [{"left": None, "right": None, "frames": "x"}]}, "frames"),
+            ({"segments": [{"left": None, "right": None, "frames": 12.5}]}, "frames"),
+            ({"segments": [{"left": "six", "right": None, "frames": 2}]}, "six"),
+            ({"segments": [{"left": None, "hand": "one", "frames": 2}]}, "hand"),
+            ({"segments": [{"left": "one", "right": None}]}, "frames"),
+            ({"segments": 5}, "segments"),
+            ({"width": 320.5}, "width"),
+            ({"seed": True}, "seed"),
+            ({"noise_sigma": "loud"}, "noise_sigma"),
+            ({"skin": [205.0, 160.0]}, "skin"),
+            ({"background": "blue"}, "background"),
+        ],
+    )
+    def test_spec_dict_wrongly_typed_rejected(self, change, key):
+        raw = dict(self.spec().to_dict(), **change)
+        with pytest.raises(ValidationError, match=key):
+            GestureSceneSpec.from_dict(raw)
+
+    def test_spec_dict_without_segments_rejected(self):
+        with pytest.raises(ValidationError, match="segment"):
+            GestureSceneSpec.from_dict({"seed": 1})

@@ -5,23 +5,18 @@ import numpy as np
 import pytest
 
 from diverkit import kernels, synth, tracker
-from diverkit.core import Frame, GridConfig, TrackerConfig, ValidationError
+from diverkit.core import Frame, GridConfig, TrackerConfig, ValidationError, window_center
 from diverkit.tracker import (
     HmmTables,
     OpCounters,
     StateError,
     band_score,
-    detect_from_evidence,
     dtft,
-    evidence_loglik,
     evidence_loglik_vec,
-    evidence_prior,
     evidence_prior_vec,
     top_p_trajectories,
     track_sequence,
     transition_log_matrix,
-    transition_logweight,
-    transition_raw_weight,
     viterbi_update,
 )
 
@@ -42,6 +37,43 @@ def random_instance(rng, m, slide):
 # ---------------------------------------------------------------------------
 # evidence and transition models
 # ---------------------------------------------------------------------------
+
+# Scalar oracles: one window or one window pair at a time, written from the
+# model's definition, for the vectorised functions of the tracker.
+
+
+def range_distance(value, lo, hi):
+    """Distance from ``value`` to the closed interval [lo, hi] (0 inside)."""
+    if lo <= value <= hi:
+        return 0.0
+    return min(abs(value - lo), abs(value - hi))
+
+
+def evidence_loglik(intensity, cfg):
+    """Log emission probability: log(1-eps) inside the range, log(eps) outside."""
+    lo, hi = cfg.intensity_range
+    if lo <= intensity <= hi:
+        return math.log(1.0 - cfg.epsilon)
+    return math.log(cfg.epsilon)
+
+
+def evidence_prior(intensity, cfg):
+    """Unnormalized presence weight 1 / (1 + distance-to-range)."""
+    lo, hi = cfg.intensity_range
+    return 1.0 / (1.0 + range_distance(intensity, lo, hi))
+
+
+def transition_raw_weight(i, j, grid):
+    """Smoothed reciprocal of the window-center distance, before row normalization."""
+    xi, yi = window_center(grid, i)
+    xj, yj = window_center(grid, j)
+    return 1.0 / (1.0 + math.hypot(xj - xi, yj - yi))
+
+
+def transition_logweight(i, j, grid):
+    """Log probability of moving from window i to window j."""
+    total = sum(transition_raw_weight(i, k, grid) for k in range(grid.num_windows))
+    return math.log(transition_raw_weight(i, j, grid) / total)
 
 
 class TestEvidenceModels:
@@ -418,16 +450,15 @@ class TestDetectionCycle:
         frames, _ = render(
             synth.DiverSceneSpec(frames=10, width=90, height=90, start=(45.0, 45.0))
         )
+        trk = tracker.Tracker(CFG, 90, 90)
         with pytest.raises(ValidationError):
-            tracker.run_detection_cycle(frames, CFG)
+            trk.detect(np.stack([trk.evidence(f) for f in frames]))
 
     def test_detected_iff_score_at_least_delta(self):
         rng = np.random.default_rng(0)
-        grid = GridConfig(60, 60)
         cfg = TrackerConfig(slide=5, pool=4, band=(3.0, 7.0))
         evidence = rng.uniform(0, 255, (5, 4))
-        log_trans = transition_log_matrix(grid)
-        result = detect_from_evidence(evidence, cfg, grid, log_trans)
+        result = tracker.Tracker(cfg, 60, 60).detect(evidence)
         assert result.detected == (result.score >= cfg.delta)
 
     def test_raising_delta_never_adds_detections(self):
