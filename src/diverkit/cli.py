@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, harness, lang, raster, servo, synth, tracker
-from .core import TrackerConfig, ValidationError, grid_for, load_tracker_config
+from .core import TrackerConfig, ValidationError, grid_for, integer, load_tracker_config, read_json
 from .gesture import GesturePairToken, OracleRecognizer, ShapeRecognizer
 from .raster import CorruptFrameError
 from .tracker import StateError
@@ -79,12 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
-    with open(args.spec) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{args.spec}: not valid JSON ({exc})") from exc
-    if args.seed is not None and isinstance(raw, dict):
+    raw = read_json(args.spec, f"{args.kind} scene spec")
+    if args.seed is not None:
         raw["seed"] = args.seed
     if args.kind == "diver":
         spec = synth.DiverSceneSpec.from_dict(raw)
@@ -129,15 +125,14 @@ def cmd_track(args) -> int:
 
 def _read_token_stream(path: str) -> list[GesturePairToken]:
     stream = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 stream.append(GesturePairToken.from_record(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{line_no}: bad token line ({exc})") from exc
+            except (ValueError, RecursionError) as exc:  # bad JSON or bytes, or a bad record
+                raise ValidationError(f"{path}:{line_no}: bad token line ({exc})") from None
     return stream
 
 
@@ -152,9 +147,7 @@ def cmd_decode(args) -> int:
                 raise ValidationError(
                     f"{args.seq}: oracle recognizer needs truth.json with gesture labels"
                 )
-            recognizer = OracleRecognizer(
-                [tuple(p) for p in truth_raw["gesture_labels"]]
-            )
+            recognizer = OracleRecognizer(synth.GroundTruth.from_dict(truth_raw).gesture_labels)
         else:
             recognizer = ShapeRecognizer()
         stream = []
@@ -174,21 +167,10 @@ def cmd_decode(args) -> int:
 
 
 def cmd_follow(args) -> int:
-    config = servo.load_gains(args.gains)
-    world = servo.make_offset_world(
-        args.offset_x, args.offset_y, config, distance_ratio=args.distance_ratio
+    scene = servo.FollowScene(
+        args.offset_x, args.offset_y, args.duration_s, args.fps, args.distance_ratio
     )
-    bank = servo.PidBank(config)
-    rows = servo.follow_loop(
-        world.observe,
-        bank,
-        args.duration_s,
-        args.fps,
-        frame_w=world.camera.frame_w,
-        frame_h=world.camera.frame_h,
-    )
-    servo.write_follow_log(args.out, rows)
-    last = rows[-1]
+    last = scene.run(servo.load_gains(args.gains), args.out)[-1]
     if last.errors is not None:
         ex, ey, ea = last.errors
         print(f"final ex={ex:.4f} ey={ey:.4f} ea={ea:.4f}")
@@ -198,7 +180,7 @@ def cmd_follow(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    spec = harness.load_experiment_spec(args.spec)
+    spec = read_json(args.spec, "experiment spec")
     report = harness.run_experiment(spec, out_dir=args.out)
     out_dir = args.out if args.out is not None else spec.get("out")
     print(f"report written to {Path(out_dir) / 'report.json'}")
@@ -212,11 +194,21 @@ def _grid_shape(num_windows: int) -> tuple[int, int]:
     return cols, num_windows // cols
 
 
+def _counts(flag: str, value: str) -> list[int]:
+    """A flag's comma-separated counts, each an integer >= 1."""
+    try:
+        counts = [integer(v) for v in value.split(",") if v]
+    except ValueError:
+        raise ValidationError(f"{flag} takes comma-separated integers, got {value!r}") from None
+    if not counts or min(counts) < 1:
+        raise ValidationError(f"{flag} needs at least one integer, each >= 1, got {value!r}")
+    return counts
+
+
 def cmd_bench(args) -> int:
-    m_list = [int(v) for v in args.M.split(",") if v]
-    t_list = [int(v) for v in args.T.split(",") if v]
-    if not m_list or not t_list:
-        raise ValidationError("--M and --T need at least one value each")
+    m_list, t_list = _counts("--M", args.M), _counts("--T", args.T)
+    if args.cycles < 1:
+        raise ValidationError(f"--cycles must be >= 1, got {args.cycles}")
     rng = np.random.default_rng(args.seed)
     rows = []
     header = f"{'M':>6} {'T':>4} {'backend':>8} {'cycles':>7} {'trans_evals':>12} {'dft_mults':>10} {'ms/cycle':>9}"

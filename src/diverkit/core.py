@@ -4,11 +4,16 @@ A frame is a float64 raster with intensities in [0, 255], built from uint8
 pixels (as read from disk) or from any array whose values pass the range check.
 The grid chops a frame into equal non-overlapping windows; pixels in the
 right/bottom margin left over by the flooring are not part of any window.
+
+Every JSON config, spec and record is read by :func:`read_json` and
+:func:`read_fields` (a key -> (field, converter) table), so malformed input
+becomes one :class:`ValidationError` naming the file or the key.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,8 +45,8 @@ class Frame:
         # as every comparison with NaN is False
         if raw.dtype != np.uint8 and not (arr.min() >= 0 and arr.max() <= 255):
             raise ValidationError("pixel intensities must be finite and lie in [0, 255]")
-        if self.fps <= 0:
-            raise ValidationError("fps must be positive")
+        if not 0 < self.fps < math.inf:  # NaN fails too
+            raise ValidationError("fps must be positive and finite")
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -231,18 +236,40 @@ class TrackerConfig:
         return cls(**kwargs)
 
 
-def read_fields(raw: dict, table: dict, what: str) -> dict:
+def read_json(source, what: str) -> dict:
+    """Parse a JSON file (a path or a packaged resource) whose top level must be an object.
+
+    Anything but an unreadable file (``OSError``) raises a :class:`ValidationError`.
+    """
+    if isinstance(source, str):
+        source = Path(source)
+    if not hasattr(source, "read_bytes"):
+        raise ValidationError(f"{what} must name a file, got {source!r}")
+    try:
+        data = json.loads(source.read_bytes())
+    except (ValueError, RecursionError) as exc:  # bad JSON, undecodable bytes, deep nesting
+        raise ValidationError(f"{source}: not valid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{source}: {what} must be a JSON object")
+    return data
+
+
+def read_fields(raw: dict, table: dict, what: str, required: tuple = ()) -> dict:
     """Keyword arguments from a JSON object via a key -> (field, converter) table.
 
-    A non-object, an unknown key, or a value its converter cannot read raises a
-    :class:`ValidationError` naming ``what`` and the key. A ValidationError from
-    a converter (a nested object's own check) passes through unchanged.
+    A non-object, an unknown key, a missing ``required`` key, or a value its
+    converter cannot read raises a :class:`ValidationError` naming ``what`` and
+    the key. A ValidationError from a converter (a nested object's own check)
+    passes through unchanged.
     """
     if not isinstance(raw, dict):
         raise ValidationError(f"{what} must be a JSON object")
     unknown = set(raw) - set(table)
     if unknown:
         raise ValidationError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ValidationError(f"{what} is missing keys: {missing}")
     kwargs = {}
     for key, value in raw.items():
         name, convert = table[key]
@@ -255,6 +282,16 @@ def read_fields(raw: dict, table: dict, what: str) -> dict:
     return kwargs
 
 
+def fields(names, convert) -> dict:
+    """Table entries for keys that are read into fields of the same name."""
+    return {name: (name, convert) for name in names}
+
+
+def nested(cls, table: dict, what: str, required: tuple = ()):
+    """Converter of a nested JSON object into ``cls``."""
+    return lambda raw: cls(**read_fields(raw, table, what, required))
+
+
 def integer(value) -> int:
     """Converter of an integral JSON number; bools and fractions are refused, not truncated."""
     if isinstance(value, bool) or not float(value).is_integer():
@@ -262,38 +299,43 @@ def integer(value) -> int:
     return int(value)
 
 
-def pair(convert):
-    """Converter of a two-element JSON list."""
+def finite(value) -> float:
+    """Converter of a finite JSON number; bools, NaN and infinities are refused."""
+    if isinstance(value, bool) or not math.isfinite(number := float(value)):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
 
-    def convert_pair(value):
-        lo, hi = (convert(v) for v in value)
-        return lo, hi
 
-    return convert_pair
+def optional(convert):
+    """Converter of a value that may be null."""
+    return lambda value: None if value is None else convert(value)
+
+
+def listof(convert, length: int | None = None):
+    """Converter of a JSON list (of exactly ``length`` items, if given) into a tuple."""
+
+    def convert_list(value) -> tuple:
+        if not isinstance(value, list) or length not in (None, len(value)):
+            raise TypeError(f"{value!r} is not a list of {length or 'any number of'} items")
+        return tuple(convert(v) for v in value)
+
+    return convert_list
 
 
 # tracker config JSON key -> (TrackerConfig field, converter)
 _TRACKER_KEYS = {
     "T": ("slide", integer),
     "p": ("pool", integer),
-    "delta": ("delta", float),
-    "epsilon": ("epsilon", float),
-    "R": ("intensity_range", pair(float)),
-    "fps": ("fps", float),
-    "band": ("band", pair(float)),
+    "R": ("intensity_range", listof(finite, 2)),
+    "band": ("band", listof(finite, 2)),
     "stride": ("stride", integer),
-    "window": ("window", pair(integer)),
-    "gauss_sigma": ("gauss_sigma", float),
+    "window": ("window", listof(integer, 2)),
+    **fields(("delta", "epsilon", "fps", "gauss_sigma"), finite),
 }
 
 
 def load_tracker_config(path: str | Path) -> TrackerConfig:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return TrackerConfig.from_dict(raw)
+    return TrackerConfig.from_dict(read_json(path, "tracker config"))
 
 
 def grid_for(cfg: TrackerConfig, frame_w: int, frame_h: int) -> GridConfig:

@@ -20,7 +20,6 @@ synthetic-scene ground truth, for isolating the decoder).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +31,8 @@ from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError
 
 from . import kernels
-from .core import BoundingBox, Frame, ValidationError
+from .core import BoundingBox, Frame, ValidationError, read_fields, read_json
+from .core import fields, finite, integer, listof, nested, optional  # table helpers, converters
 
 
 class GestureClass(Enum):
@@ -55,6 +55,10 @@ class GestureClass(Enum):
             return cls[name]
         except KeyError:
             raise ValidationError(f"unknown gesture class {name!r}") from None
+
+
+# converter of one hand: a gesture class name, or null for no hand
+hand_class = optional(GestureClass.from_name)
 
 
 DIGIT_CLASSES = (
@@ -322,8 +326,8 @@ def match_gesture(
 class GesturePairToken:
     """Debounce input: per-frame classes for the person's left and right hand."""
 
-    left: GestureClass | None
-    right: GestureClass | None
+    left: GestureClass | None = None
+    right: GestureClass | None = None
     frame: int = 0
     conf_left: float | None = None
     conf_right: float | None = None
@@ -349,15 +353,16 @@ class GesturePairToken:
 
     @classmethod
     def from_record(cls, rec: dict) -> "GesturePairToken":
-        left = GestureClass.from_name(rec["left"]) if rec.get("left") else None
-        right = GestureClass.from_name(rec["right"]) if rec.get("right") else None
-        return cls(
-            left=left,
-            right=right,
-            frame=int(rec.get("frame", 0)),
-            conf_left=rec.get("conf_l") if left else None,
-            conf_right=rec.get("conf_r") if right else None,
-        )
+        return cls(**read_fields(rec, _TOKEN_KEYS, "gesture pair token"))
+
+
+# token record JSON key -> (GesturePairToken field, converter)
+_TOKEN_KEYS = {
+    **fields(("left", "right"), hand_class),
+    "frame": ("frame", integer),
+    "conf_l": ("conf_left", optional(finite)),
+    "conf_r": ("conf_right", optional(finite)),
+}
 
 
 def recognize_pair(
@@ -452,9 +457,9 @@ class OracleRecognizer:
         self.labels = labels
 
     def __call__(self, frame: Frame, frame_index: int) -> GesturePairToken:
-        left_name, right_name = self.labels[frame_index]
-        left = GestureClass.from_name(left_name) if left_name else None
-        right = GestureClass.from_name(right_name) if right_name else None
+        if not 0 <= frame_index < len(self.labels):
+            raise ValidationError(f"no ground-truth gesture label for frame {frame_index}")
+        left, right = (hand_class(name) for name in self.labels[frame_index])
         return GesturePairToken(
             left=left,
             right=right,
@@ -487,31 +492,24 @@ def gesture_config_to_dict(hsv_range: HsvRange, bank: TemplateBank) -> dict:
     }
 
 
+# gesture config JSON key -> (field, converter); templates are keyed by class name
+_HSV_KEYS = fields(("h", "s", "v"), listof(finite, 2))
+_DESCRIPTOR = listof(finite, 3)
+_TEMPLATE_KEYS = {cls.name: (cls, lambda desc: np.array(_DESCRIPTOR(desc))) for cls in GestureClass}
+_GESTURE_CONFIG_KEYS = {
+    "hsv": ("hsv", nested(HsvRange, _HSV_KEYS, "gesture config hsv", ("h", "s", "v"))),
+    "templates": (
+        "templates", lambda raw: read_fields(raw, _TEMPLATE_KEYS, "gesture config templates")
+    ),
+}
+
+
 def parse_gesture_config(raw: dict) -> tuple[HsvRange, TemplateBank]:
-    try:
-        hsv = HsvRange(
-            h=tuple(raw["hsv"]["h"]), s=tuple(raw["hsv"]["s"]), v=tuple(raw["hsv"]["v"])
-        )
-        bank = {
-            GestureClass.from_name(name): np.asarray(desc, dtype=np.float64)
-            for name, desc in raw["templates"].items()
-        }
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed gesture config: {exc}") from exc
-    for cls, desc in bank.items():
-        if desc.shape != (3,) or not np.isfinite(desc).all():
-            raise ValidationError(f"template for {cls.name!r} must be 3 finite values")
-    return hsv, bank
+    config = read_fields(raw, _GESTURE_CONFIG_KEYS, "gesture config", ("hsv", "templates"))
+    return config["hsv"], config["templates"]
 
 
 def load_gesture_config(path: str | Path | None = None) -> tuple[HsvRange, TemplateBank]:
     """Load ``gesture.json``; without a path, the packaged default."""
-    if path is None:
-        text = resources.files("diverkit").joinpath("data", "gesture.json").read_text()
-    else:
-        text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"gesture config is not valid JSON: {exc}") from exc
-    return parse_gesture_config(raw)
+    source = resources.files("diverkit").joinpath("data", "gesture.json") if path is None else path
+    return parse_gesture_config(read_json(source, "gesture config"))

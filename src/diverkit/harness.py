@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import lang, raster, servo, synth, tracker
-from .core import DetectionResult, GridConfig, TrackerConfig, ValidationError, grid_for
+from .core import DetectionResult, GridConfig, TrackerConfig, ValidationError, grid_for, read_json
 from .gesture import OracleRecognizer, ShapeRecognizer
 from .synth import DiverSceneSpec, GestureSceneSpec, GroundTruth
 
@@ -194,17 +194,6 @@ def _require(spec: dict, key: str) -> object:
     return spec[key]
 
 
-def load_experiment_spec(path: str | Path) -> dict:
-    with open(path) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{path}: experiment spec must be a JSON object")
-    return spec
-
-
 def run_experiment(spec: dict, out_dir: str | Path | None = None) -> dict:
     """Run one experiment spec; writes report.json plus logs, returns the report."""
     kind = _require(spec, "kind")
@@ -212,7 +201,10 @@ def run_experiment(spec: dict, out_dir: str | Path | None = None) -> dict:
         raise ValidationError(
             f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}"
         )
-    out = Path(out_dir if out_dir is not None else _require(spec, "out"))
+    out = out_dir if out_dir is not None else _require(spec, "out")
+    if not isinstance(out, (str, Path)):
+        raise ValidationError(f"experiment spec 'out' must be a directory name, got {out!r}")
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
 
     if kind == "track":
@@ -230,12 +222,10 @@ def run_experiment(spec: dict, out_dir: str | Path | None = None) -> dict:
 
 
 def _tracker_config(spec: dict) -> TrackerConfig:
-    if "tracker" in spec and spec["tracker"]:
-        ref = spec["tracker"]
-        if isinstance(ref, dict):
-            return TrackerConfig.from_dict(ref)
-        return TrackerConfig.from_dict(json.loads(Path(ref).read_text()))
-    return TrackerConfig()
+    """The spec's "tracker": an inline config object or a config file name."""
+    ref = spec.get("tracker") or {}
+    raw = ref if isinstance(ref, dict) else read_json(ref, "tracker config")
+    return TrackerConfig.from_dict(raw)
 
 
 def _run_track(spec: dict, out: Path) -> dict:
@@ -292,25 +282,9 @@ def _run_decode(spec: dict, out: Path) -> dict:
 
 
 def _run_follow(spec: dict, out: Path) -> dict:
-    scene = dict(_require(spec, "scene"))
+    scene = _require(spec, "scene")
     config = servo.load_gains(spec.get("gains") or None)
-    offset_x = float(scene.get("offset_x", 0.0))
-    offset_y = float(scene.get("offset_y", 0.0))
-    duration_s = float(scene.get("duration_s", 10.0))
-    fps = float(scene.get("fps", 10.0))
-    distance_ratio = float(scene.get("distance_ratio", 1.25))
-
-    world = servo.make_offset_world(offset_x, offset_y, config, distance_ratio=distance_ratio)
-    bank = servo.PidBank(config)
-    rows = servo.follow_loop(
-        world.observe,
-        bank,
-        duration_s,
-        fps,
-        frame_w=world.camera.frame_w,
-        frame_h=world.camera.frame_h,
-    )
-    servo.write_follow_log(out / "follow_log.csv", rows)
+    rows = servo.FollowScene.from_dict(scene).run(config, out / "follow_log.csv")
 
     last = rows[-1]
     converged = False

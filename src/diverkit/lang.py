@@ -16,13 +16,12 @@ malformed sequences never emit anything.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .core import ValidationError
+from .core import ValidationError, fields, listof, read_fields, read_json
 from .gesture import GestureClass, GesturePairToken
 
 DEBOUNCE_FRAMES = 10
@@ -138,20 +137,25 @@ def _pair_name(pair: Pair) -> str:
     return f"({pair[0].name}, {pair[1].name})"
 
 
+# mapping entry JSON key -> (field, converter)
+_ENTRY_KEYS = {
+    **fields(("left", "right"), GestureClass.from_name),
+    "token": ("token", lambda name: Token.from_name(str(name))),
+}
+
+
+def _entry(raw) -> dict:
+    return read_fields(raw, _ENTRY_KEYS, f"mapping entry {raw!r}", ("left", "right", "token"))
+
+
 def mapping_from_dict(raw: dict) -> MappingTable:
-    if "pairs" not in raw or not isinstance(raw["pairs"], list):
-        raise ValidationError('mapping file must contain a "pairs" list')
+    entries = read_fields(raw, {"pairs": ("pairs", listof(_entry))}, "mapping", ("pairs",))
     pairs: dict[Pair, Token] = {}
-    for entry in raw["pairs"]:
-        try:
-            left = GestureClass.from_name(entry["left"])
-            right = GestureClass.from_name(entry["right"])
-            token = Token.from_name(entry["token"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed mapping entry {entry!r}: {exc}") from exc
-        if (left, right) in pairs:
-            raise ValidationError(f"duplicate mapping for pair {_pair_name((left, right))}")
-        pairs[(left, right)] = token
+    for entry in entries["pairs"]:
+        pair = (entry["left"], entry["right"])
+        if pair in pairs:
+            raise ValidationError(f"duplicate mapping for pair {_pair_name(pair)}")
+        pairs[pair] = entry["token"]
     return MappingTable(pairs)
 
 
@@ -166,15 +170,8 @@ def mapping_to_dict(table: MappingTable) -> dict:
 
 def load_mapping(path: str | Path | None = None) -> MappingTable:
     """Load a mapping table; without a path, the packaged default."""
-    if path is None:
-        text = resources.files("diverkit").joinpath("data", "mapping.json").read_text()
-    else:
-        text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"mapping file is not valid JSON: {exc}") from exc
-    return mapping_from_dict(raw)
+    source = resources.files("diverkit").joinpath("data", "mapping.json") if path is None else path
+    return mapping_from_dict(read_json(source, "mapping"))
 
 
 def default_mapping() -> MappingTable:
@@ -471,25 +468,3 @@ def decode_tokens(tokens: list[Token]) -> list[Instruction]:
         if instruction is not None:
             out.append(instruction)
     return out
-
-
-def instruction_from_record(rec: dict) -> Instruction:
-    kind = rec.get("type")
-    if kind == "task_switch":
-        return TaskSwitch(
-            task=rec["task"],
-            duration_s=rec.get("duration_s"),
-            program=rec.get("program"),
-            emitted_at_frame=rec.get("emitted_at_frame"),
-        )
-    if kind == "param_reconfig":
-        return ParamReconfig(
-            param=rec["param"],
-            direction=rec["direction"],
-            emitted_at_frame=rec.get("emitted_at_frame"),
-        )
-    if kind == "snapshot":
-        return Snapshot(
-            duration_s=rec["duration_s"], emitted_at_frame=rec.get("emitted_at_frame")
-        )
-    raise ValidationError(f"unknown instruction type {kind!r}")

@@ -108,7 +108,7 @@ def _read_json_object(path: Path) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # bad JSON, undecodable bytes, deep nesting
         raise CorruptFrameError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise CorruptFrameError(f"{path}: top level must be a JSON object")

@@ -13,13 +13,12 @@ a lost target cannot drive the robot forever.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .core import BoundingBox, ValidationError
+from .core import BoundingBox, ValidationError, fields, finite, nested, read_fields, read_json
 
 MISS_DECAY = 0.8
 PITCH_LIMIT = math.pi / 3.0
@@ -135,30 +134,24 @@ class ServoConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ServoConfig":
-        kwargs = {}
-        try:
-            for channel in ("yaw", "pitch", "vertical", "forward"):
-                if channel in raw:
-                    kwargs[channel] = PidGains(**raw[channel])
-            for scalar in ("target_area_fraction", "v_max", "omega_max"):
-                if scalar in raw:
-                    kwargs[scalar] = float(raw[scalar])
-        except TypeError as exc:
-            raise ValidationError(f"bad gains file: {exc}") from exc
-        return cls(**kwargs)
+        return cls(**read_fields(raw, _SERVO_KEYS, "gains"))
+
+
+# gains JSON key -> (field, converter); a channel's omitted keys take PidGains' defaults
+_PID_KEYS = fields(("kp", "ki", "kd", "integral_clamp", "output_clamp"), finite)
+_SERVO_KEYS = {
+    **{
+        channel: (channel, nested(PidGains, _PID_KEYS, f"gains {channel}"))
+        for channel in ("yaw", "pitch", "vertical", "forward")
+    },
+    **fields(("target_area_fraction", "v_max", "omega_max"), finite),
+}
 
 
 def load_gains(path: str | Path | None = None) -> ServoConfig:
     """Load a gains file; without a path, the packaged default."""
-    if path is None:
-        text = resources.files("diverkit").joinpath("data", "gains.json").read_text()
-    else:
-        text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"gains file is not valid JSON: {exc}") from exc
-    return ServoConfig.from_dict(raw)
+    source = resources.files("diverkit").joinpath("data", "gains.json") if path is None else path
+    return ServoConfig.from_dict(read_json(source, "gains"))
 
 
 class PidBank:
@@ -386,3 +379,47 @@ def write_follow_log(path: str | Path, rows: list[FollowLogRow]) -> None:
         writer.writerow(FOLLOW_LOG_COLUMNS)
         for row in rows:
             writer.writerow(row.to_csv_row())
+
+
+@dataclass(frozen=True)
+class FollowScene:
+    """One follow run: the diver starts at fractional image offsets (1 = the
+    frame edge) and at ``distance_ratio`` times the standoff distance."""
+
+    offset_x: float = 0.0
+    offset_y: float = 0.0
+    duration_s: float = 10.0
+    fps: float = 10.0
+    distance_ratio: float = 1.25
+
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise ValidationError(f"follow scene {name} must be finite, got {value}")
+        if self.fps <= 0:
+            raise ValidationError("follow scene fps must be positive")
+        if not 0.5 < self.duration_s * self.fps < math.inf:  # follow_loop rounds to steps
+            raise ValidationError("follow scene must last a finite number of control steps >= 1")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "FollowScene":
+        return cls(**read_fields(raw, _FOLLOW_SCENE_KEYS, "follow scene"))
+
+    def run(self, config: ServoConfig, log_path: str | Path) -> list[FollowLogRow]:
+        """Follow the diver with ``config``'s gains; writes the log CSV and returns its rows."""
+        world = make_offset_world(
+            self.offset_x, self.offset_y, config, distance_ratio=self.distance_ratio
+        )
+        rows = follow_loop(
+            world.observe,
+            PidBank(config),
+            self.duration_s,
+            self.fps,
+            frame_w=world.camera.frame_w,
+            frame_h=world.camera.frame_h,
+        )
+        write_follow_log(log_path, rows)
+        return rows
+
+
+_FOLLOW_SCENE_KEYS = fields(("offset_x", "offset_y", "duration_s", "fps", "distance_ratio"), finite)

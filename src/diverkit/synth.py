@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Frame, GridConfig, ValidationError, integer, pair, read_fields
-from .gesture import GestureClass
+from .core import Frame, GridConfig, ValidationError, read_fields
+from .core import fields, finite, integer, listof, nested, optional  # table helpers, converters
+from .gesture import GestureClass, hand_class
 
 PATH_KINDS = ("static", "straight", "sideways", "sinusoid")
 
@@ -86,6 +87,9 @@ class DiverSceneSpec:
             raise ValidationError("background intensity must lie in [0, 255]")
         if self.noise_sigma < 0:
             raise ValidationError("noise sigma must be >= 0")
+        sinusoid = self.path.kind == "sinusoid"
+        if sinusoid and math.isinf(2.0 * math.pi * self.frames / self.path.period):
+            raise ValidationError("sinusoid period is too short for the path's phase to be finite")
         for t in range(self.frames):
             x, y = self.center_at(t)
             if not (0.0 <= x < self.width and 0.0 <= y < self.height):
@@ -131,24 +135,15 @@ class DiverSceneSpec:
         return cls(**read_fields(raw, _DIVER_KEYS, "diver scene spec"))
 
 
-def _fields(names, convert) -> dict:
-    return {name: (name, convert) for name in names}
-
-
-def _nested(cls, table: dict, what: str):
-    """Converter of a nested JSON object into ``cls``."""
-    return lambda raw: cls(**read_fields(raw, table, what))
-
-
 # diver scene spec JSON key -> (field, converter)
-_FLIPPER_KEYS = _fields(("radius", "intensity", "amplitude", "frequency"), float)
-_PATH_KEYS = {"kind": ("kind", str), **_fields(("vx", "vy", "amplitude", "period"), float)}
+_FLIPPER_KEYS = fields(("radius", "intensity", "amplitude", "frequency"), finite)
+_PATH_KEYS = {"kind": ("kind", str), **fields(("vx", "vy", "amplitude", "period"), finite)}
 _DIVER_KEYS = {
-    **_fields(("frames", "width", "height", "seed"), integer),
-    **_fields(("fps", "background", "noise_sigma"), float),
-    "flipper": ("flipper", _nested(Flipper, _FLIPPER_KEYS, "diver scene spec flipper")),
-    "path": ("path", _nested(PathSpec, _PATH_KEYS, "diver scene spec path")),
-    "start": ("start", pair(float)),
+    **fields(("frames", "width", "height", "seed"), integer),
+    **fields(("fps", "background", "noise_sigma"), finite),
+    "flipper": ("flipper", nested(Flipper, _FLIPPER_KEYS, "diver scene spec flipper")),
+    "path": ("path", nested(PathSpec, _PATH_KEYS, "diver scene spec path")),
+    "start": ("start", listof(finite, 2)),
 }
 
 
@@ -172,13 +167,15 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GroundTruth":
-        return cls(
-            centers=[tuple(c) for c in raw["centers"]] if "centers" in raw else None,
-            windows=list(raw["windows"]) if "windows" in raw else None,
-            gesture_labels=[tuple(p) for p in raw["gesture_labels"]]
-            if "gesture_labels" in raw
-            else None,
-        )
+        return cls(**read_fields(raw, _TRUTH_KEYS, "truth"))
+
+
+# truth JSON key -> (field, converter)
+_TRUTH_KEYS = {
+    "centers": ("centers", listof(listof(finite, 2))),
+    "windows": ("windows", listof(integer)),
+    "gesture_labels": ("gesture_labels", listof(listof(optional(str), 2))),
+}
 
 
 def _disk_mask(width: int, height: int, cx: float, cy: float, r: float) -> np.ndarray:
@@ -287,9 +284,9 @@ DEFAULT_GESTURE_BACKGROUND = (40.0, 60.0, 110.0)
 
 @dataclass(frozen=True)
 class GestureSegment:
-    left: GestureClass | None
-    right: GestureClass | None
-    frames: int
+    left: GestureClass | None = None  # None: no hand
+    right: GestureClass | None = None
+    frames: int = 0
 
     def __post_init__(self):
         if self.frames < 1:
@@ -361,32 +358,14 @@ class GestureSceneSpec:
         return cls(**read_fields(raw, _GESTURE_KEYS, "gesture scene spec"))
 
 
-def _hand(name) -> GestureClass | None:
-    """Converter of a segment's hand: a gesture class name, or null for no hand."""
-    return None if name is None else GestureClass.from_name(name)
-
-
-def _rgb(value) -> tuple[float, float, float]:
-    """Converter of a three-element JSON list of channel values."""
-    r, g, b = (float(v) for v in value)
-    return r, g, b
-
-
-def _segment(raw) -> GestureSegment:
-    """Converter of one segment; a hand left out is no hand, as null is."""
-    kwargs = read_fields(raw, _SEGMENT_KEYS, "gesture scene spec segment")
-    if "frames" not in kwargs:
-        raise ValidationError("gesture scene spec segment needs 'frames'")
-    return GestureSegment(**{"left": None, "right": None, **kwargs})
-
-
-# gesture scene spec JSON key -> (field, converter)
-_SEGMENT_KEYS = {**_fields(("left", "right"), _hand), "frames": ("frames", integer)}
+# gesture scene spec JSON key -> (field, converter); a hand left out is no hand
+_SEGMENT_KEYS = {**fields(("left", "right"), hand_class), "frames": ("frames", integer)}
+_SEGMENT = nested(GestureSegment, _SEGMENT_KEYS, "gesture scene spec segment", ("frames",))
 _GESTURE_KEYS = {
-    "segments": ("segments", lambda segments: tuple(_segment(s) for s in segments)),
-    **_fields(("width", "height", "jitter", "seed"), integer),
-    **_fields(("fps", "noise_sigma"), float),
-    **_fields(("skin", "background"), _rgb),
+    "segments": ("segments", listof(_SEGMENT)),
+    **fields(("width", "height", "jitter", "seed"), integer),
+    **fields(("fps", "noise_sigma"), finite),
+    **fields(("skin", "background"), listof(finite, 3)),
 }
 
 

@@ -98,6 +98,11 @@ class TestFrame:
         rgb = np.stack([values, values[::-1], values.T], axis=2)
         assert (Frame(rgb).pixels == Frame(rgb.astype(np.float64)).pixels).all()
 
+    @pytest.mark.parametrize("fps", [0.0, -10.0, math.nan, math.inf, -math.inf])
+    def test_rejects_non_positive_or_non_finite_fps(self, fps):
+        with pytest.raises(ValidationError, match="fps"):
+            Frame(np.zeros((2, 2)), fps=fps)
+
     def test_timestamp_is_index_over_fps(self):
         f = Frame(np.zeros((2, 2)), index=25, fps=10.0)
         assert f.timestamp_s == pytest.approx(2.5)
