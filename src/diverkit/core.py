@@ -150,6 +150,31 @@ class BoundingBox:
         return BoundingBox(cx, cy, self.w, self.h, self.score)
 
 
+def band_bin_range(slide: int, fps: float, band: tuple[float, float]) -> range:
+    """Bins k in [1, slide) whose frequency k * fps / slide lies in the band, 1e-9 slack.
+
+    The frequency rises with k, so the bins form a range: its ends are solved for
+    in closed form, then moved by a step or two until they agree with the test
+    on each bin's own frequency.
+    """
+    lo, hi = band[0] - 1e-9, band[1] + 1e-9
+
+    def freq(k: int) -> float:
+        return k * fps / slide
+
+    first = math.ceil(min(slide, max(1.0, lo * slide / fps)))
+    while first > 1 and freq(first - 1) >= lo:
+        first -= 1
+    while first < slide and freq(first) < lo:
+        first += 1
+    last = math.floor(min(slide - 1.0, max(0.0, hi * slide / fps)))
+    while last < slide - 1 and freq(last + 1) <= hi:
+        last += 1
+    while last >= first and freq(last) > hi:
+        last -= 1
+    return range(first, last + 1)
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     """Detection parameters for the periodic-motion tracker.
@@ -197,7 +222,7 @@ class TrackerConfig:
             raise ValidationError("fps must be positive")
         if self.gauss_sigma < 0:
             raise ValidationError("gauss_sigma must be >= 0")
-        if not self.band_bins():
+        if not band_bin_range(self.slide, self.fps, self.band):
             raise ValidationError(
                 f"no integer DFT bin of a length-{self.slide} series at "
                 f"{self.fps} fps falls inside the band {self.band}"
@@ -205,14 +230,7 @@ class TrackerConfig:
 
     def band_bins(self) -> list[int]:
         """Non-DC DFT bins whose center frequency lies inside the band."""
-        lo, hi = self.band
-        eps = 1e-9
-        bins = []
-        for k in range(1, self.slide):
-            f = k * self.fps / self.slide
-            if lo - eps <= f <= hi + eps:
-                bins.append(k)
-        return bins
+        return list(band_bin_range(self.slide, self.fps, self.band))
 
     def to_dict(self) -> dict:
         return {

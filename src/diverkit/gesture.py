@@ -382,42 +382,21 @@ def recognize_pair(
     regions = reject_outliers(extract_regions(mask, min_area), cache, frame_index)
     matched = [(region, *match_gesture(region, bank)) for region in regions]
     matched.sort(key=lambda m: (-m[2], -m[0].area, m[0].centroid[0]))
-    matched = matched[:2]
+    matched = sorted(matched[:2], key=lambda m: m[0].centroid[0])
 
-    left = right = None
-    conf_left = conf_right = None
-    if len(matched) == 2:
-        a, b = sorted(matched, key=lambda m: m[0].centroid[0])
-        right, conf_right = a[1], a[2]  # viewer-left region = person's right
-        left, conf_left = b[1], b[2]
-        right_region, left_region = a[0], b[0]
-    elif len(matched) == 1:
-        region, cls, conf = matched[0]
-        if region.centroid[0] < frame.width / 2:
-            right, conf_right, right_region = cls, conf, region
-            left_region = None
-        else:
-            left, conf_left, left_region = cls, conf, region
-            right_region = None
+    # side -> (region, class, confidence); a lone region's side is its half of the frame
+    if len(matched) == 1:
+        sides = ("right",) if matched[0][0].centroid[0] < frame.width / 2 else ("left",)
     else:
-        left_region = right_region = None
+        sides = ("right", "left")
+    hands = dict(zip(sides, matched))
 
-    if cache is not None:
-        if left_region is not None:
-            cache.left = CacheEntry(
-                left_region.bbox, left_region.centroid, left_region.area, frame_index
-            )
-        if right_region is not None:
-            cache.right = CacheEntry(
-                right_region.bbox, right_region.centroid, right_region.area, frame_index
-            )
-    return GesturePairToken(
-        left=left,
-        right=right,
-        frame=frame_index,
-        conf_left=conf_left,
-        conf_right=conf_right,
-    )
+    token = {}
+    for side, (region, cls, conf) in hands.items():
+        token[side], token[f"conf_{side}"] = cls, conf
+        if cache is not None:
+            setattr(cache, side, CacheEntry(region.bbox, region.centroid, region.area, frame_index))
+    return GesturePairToken(frame=frame_index, **token)
 
 
 # ---------------------------------------------------------------------------

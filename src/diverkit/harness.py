@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import lang, raster, servo, synth, tracker
 from .core import DetectionResult, GridConfig, TrackerConfig, ValidationError, grid_for, read_json
+from .core import fields, read_fields  # table helpers
 from .gesture import OracleRecognizer, ShapeRecognizer
 from .synth import DiverSceneSpec, GestureSceneSpec, GroundTruth
 
@@ -185,23 +186,28 @@ def score_instructions(
 # experiments
 # ---------------------------------------------------------------------------
 
-EXPERIMENT_KINDS = ("track", "decode", "follow")
-
-
-def _require(spec: dict, key: str) -> object:
-    if key not in spec:
-        raise ValidationError(f"experiment spec missing field {key!r}")
-    return spec[key]
+# experiment kind -> the other keys its spec may hold
+_SPEC_KEYS = {
+    "track": ("scene", "tracker", "out"),
+    "decode": ("scene", "recognizer", "mapping", "out"),
+    "follow": ("scene", "gains", "out"),
+}
+EXPERIMENT_KINDS = tuple(_SPEC_KEYS)
 
 
 def run_experiment(spec: dict, out_dir: str | Path | None = None) -> dict:
     """Run one experiment spec; writes report.json plus logs, returns the report."""
-    kind = _require(spec, "kind")
+    if "kind" not in spec:
+        raise ValidationError("experiment spec missing field 'kind'")
+    kind = spec["kind"]
     if kind not in EXPERIMENT_KINDS:
         raise ValidationError(
             f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}"
         )
-    out = out_dir if out_dir is not None else _require(spec, "out")
+    required = ("scene",) if out_dir is not None else ("scene", "out")
+    table = fields(("kind", *_SPEC_KEYS[kind]), lambda value: value)
+    spec = read_fields(spec, table, "experiment spec", required)
+    out = out_dir if out_dir is not None else spec["out"]
     if not isinstance(out, (str, Path)):
         raise ValidationError(f"experiment spec 'out' must be a directory name, got {out!r}")
     out = Path(out)
@@ -229,7 +235,7 @@ def _tracker_config(spec: dict) -> TrackerConfig:
 
 
 def _run_track(spec: dict, out: Path) -> dict:
-    scene = DiverSceneSpec.from_dict(_require(spec, "scene"))
+    scene = DiverSceneSpec.from_dict(spec["scene"])
     cfg = _tracker_config(spec)
     frames, truth = synth.render_diver_sequence(
         scene, window=(cfg.window_w, cfg.window_h)
@@ -245,7 +251,7 @@ def _run_track(spec: dict, out: Path) -> dict:
 
 
 def _run_decode(spec: dict, out: Path) -> dict:
-    scene = GestureSceneSpec.from_dict(_require(spec, "scene"))
+    scene = GestureSceneSpec.from_dict(spec["scene"])
     recognizer_name = spec.get("recognizer", "oracle")
     mapping = lang.load_mapping(spec.get("mapping") or None)
     frames, truth = synth.render_gesture_sequence(scene)
@@ -282,7 +288,7 @@ def _run_decode(spec: dict, out: Path) -> dict:
 
 
 def _run_follow(spec: dict, out: Path) -> dict:
-    scene = _require(spec, "scene")
+    scene = spec["scene"]
     config = servo.load_gains(spec.get("gains") or None)
     rows = servo.FollowScene.from_dict(scene).run(config, out / "follow_log.csv")
 

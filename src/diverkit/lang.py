@@ -10,8 +10,9 @@ again. The decoder grammar is sentinel-framed:
              | (CONTD PARAM DIGIT+ (INCREASE | DECREASE))
     ... each terminated by GO; DIGIT+ concatenates decimally.
 
-Tokens with no transition from the current state are ignored (self-loop), so
-malformed sequences never emit anything.
+The FSM is one ``(phase, token kind) -> phase`` table. A pair the table does
+not list is ignored (the state stays as it is), so malformed sequences never
+emit anything; GO ends any started instruction and returns to idle.
 """
 
 from __future__ import annotations
@@ -328,12 +329,23 @@ class DecoderState:
     digits: str = ""
     direction: str | None = None
 
-    def reset(self) -> "DecoderState":
-        return DecoderState()
 
+# phases that collect a number ended by GO; AWAIT_DIRECTION collects one ended by a direction
+_NUMBERED = (Phase.TASK_CHOSEN, Phase.AWAIT_PROGRAM_NUM, Phase.AWAIT_SNAP_DURATION)
 
-def _number(digits: str) -> int:
-    return int(digits)
+# (phase, token kind) -> next phase; every pair not listed leaves the state as it is
+_TRANSITIONS: dict[tuple[Phase, TokenKind], Phase] = {
+    (Phase.IDLE, TokenKind.STOP): Phase.GOT_STOP,
+    (Phase.IDLE, TokenKind.CONTD): Phase.GOT_CONTD,
+    **{(Phase.GOT_STOP, kind): Phase.TASK_CHOSEN for kind in TASK_KINDS},
+    (Phase.GOT_STOP, TokenKind.EXECUTE): Phase.AWAIT_PROGRAM_NUM,
+    (Phase.GOT_CONTD, TokenKind.SNAPSHOT): Phase.AWAIT_SNAP_DURATION,
+    (Phase.GOT_CONTD, TokenKind.PARAM): Phase.AWAIT_PARAM_NUM,
+    **{(phase, TokenKind.DIGIT): phase for phase in (*_NUMBERED, Phase.AWAIT_DIRECTION)},
+    (Phase.AWAIT_PARAM_NUM, TokenKind.DIGIT): Phase.AWAIT_DIRECTION,
+    (Phase.AWAIT_DIRECTION, TokenKind.INCREASE): Phase.ARMED,
+    (Phase.AWAIT_DIRECTION, TokenKind.DECREASE): Phase.ARMED,
+}
 
 
 def step_fsm(
@@ -341,77 +353,33 @@ def step_fsm(
 ) -> tuple[DecoderState, Instruction | None]:
     """Pure transition function; emits an instruction only on a valid GO."""
     kind = token.kind
-
     if kind is TokenKind.GO:
         if state.phase is Phase.IDLE:
             return state, None
-        instruction = _finish(state)
-        return state.reset(), instruction
-
-    if state.phase is Phase.IDLE:
-        if kind is TokenKind.STOP:
-            return DecoderState(phase=Phase.GOT_STOP), None
-        if kind is TokenKind.CONTD:
-            return DecoderState(phase=Phase.GOT_CONTD), None
+        return DecoderState(), _finish(state)
+    phase = _TRANSITIONS.get((state.phase, kind))
+    if phase is None:
         return state, None
-
-    if state.phase is Phase.GOT_STOP:
-        if kind in TASK_KINDS:
-            return replace(state, phase=Phase.TASK_CHOSEN, task=kind.value), None
-        if kind is TokenKind.EXECUTE:
-            return replace(state, phase=Phase.AWAIT_PROGRAM_NUM, task="EXECUTE"), None
-        return state, None
-
-    if state.phase is Phase.GOT_CONTD:
-        if kind is TokenKind.SNAPSHOT:
-            return replace(state, phase=Phase.AWAIT_SNAP_DURATION), None
-        if kind is TokenKind.PARAM:
-            return replace(state, phase=Phase.AWAIT_PARAM_NUM), None
-        return state, None
-
-    if state.phase in (Phase.TASK_CHOSEN, Phase.AWAIT_PROGRAM_NUM, Phase.AWAIT_SNAP_DURATION):
-        if kind is TokenKind.DIGIT:
-            return replace(state, digits=state.digits + str(token.digit)), None
-        return state, None
-
-    if state.phase is Phase.AWAIT_PARAM_NUM:
-        if kind is TokenKind.DIGIT:
-            return (
-                replace(
-                    state,
-                    phase=Phase.AWAIT_DIRECTION,
-                    digits=state.digits + str(token.digit),
-                ),
-                None,
-            )
-        return state, None
-
-    if state.phase is Phase.AWAIT_DIRECTION:
-        if kind is TokenKind.DIGIT:
-            return replace(state, digits=state.digits + str(token.digit)), None
-        if kind in (TokenKind.INCREASE, TokenKind.DECREASE):
-            return replace(state, phase=Phase.ARMED, direction=kind.value), None
-        return state, None
-
-    # Phase.ARMED: only GO (handled above) does anything
-    return state, None
+    task = kind.value if state.phase is Phase.GOT_STOP else state.task
+    digits = state.digits + str(token.digit) if kind is TokenKind.DIGIT else state.digits
+    direction = kind.value if phase is Phase.ARMED else state.direction
+    return DecoderState(phase, task, digits, direction), None
 
 
 def _finish(state: DecoderState) -> Instruction | None:
     """Instruction for a GO arriving in ``state``; None if ungrammatical."""
+    if state.phase not in (*_NUMBERED, Phase.ARMED):
+        return None
+    number = int(state.digits) if state.digits else None
     if state.phase is Phase.TASK_CHOSEN:
-        duration = _number(state.digits) if state.digits else None
-        if duration is not None and duration < 1:
-            return None
-        return TaskSwitch(task=state.task, duration_s=duration)
-    if state.phase is Phase.AWAIT_PROGRAM_NUM and state.digits:
-        return TaskSwitch(task="EXECUTE", program=_number(state.digits))
-    if state.phase is Phase.AWAIT_SNAP_DURATION and state.digits:
-        duration = _number(state.digits)
-        return Snapshot(duration_s=duration) if duration >= 1 else None
+        return None if number == 0 else TaskSwitch(task=state.task, duration_s=number)
     if state.phase is Phase.ARMED:
-        return ParamReconfig(param=_number(state.digits), direction=state.direction)
-    return None
+        return ParamReconfig(param=number, direction=state.direction)
+    if number is None:
+        return None
+    if state.phase is Phase.AWAIT_PROGRAM_NUM:
+        return TaskSwitch(task="EXECUTE", program=number)
+    return Snapshot(duration_s=number) if number >= 1 else None
 
 
 class StreamDecoder:
@@ -434,7 +402,7 @@ class StreamDecoder:
             if self.state.phase is not Phase.IDLE:
                 self.frames_since_confirmed += 1
                 if self.frames_since_confirmed >= self.idle_timeout:
-                    self.state = self.state.reset()
+                    self.state = DecoderState()
                     self.frames_since_confirmed = 0
             return None
         self.frames_since_confirmed = 0

@@ -117,6 +117,8 @@ def _read_json_object(path: Path) -> dict:
 
 def read_manifest(directory: str | Path) -> dict:
     path = Path(directory) / "manifest.json"
+    if not path.parent.exists():
+        raise FileNotFoundError(f"{directory}: no such sequence directory")
     if not path.exists():
         raise ValidationError(f"{directory}: missing manifest.json")
     manifest = _read_json_object(path)

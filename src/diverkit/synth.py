@@ -13,6 +13,7 @@ bit-identical sequences.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,12 +91,19 @@ class DiverSceneSpec:
         sinusoid = self.path.kind == "sinusoid"
         if sinusoid and math.isinf(2.0 * math.pi * self.frames / self.path.period):
             raise ValidationError("sinusoid period is too short for the path's phase to be finite")
-        for t in range(self.frames):
+        if sinusoid:
+            t = next((t for t in range(self.frames) if self._outside(t)), self.frames)
+        else:  # x and y are monotone in t, so the frames inside form a prefix if t=0 is inside
+            t = 0 if self._outside(0) else bisect_left(range(self.frames), True, key=self._outside)
+        if t < self.frames:
             x, y = self.center_at(t)
-            if not (0.0 <= x < self.width and 0.0 <= y < self.height):
-                raise ValidationError(
-                    f"blob leaves the frame at t={t} (center {x:.1f}, {y:.1f})"
-                )
+            raise ValidationError(
+                f"blob leaves the frame at t={t} (center {x:.1f}, {y:.1f})"
+            )
+
+    def _outside(self, t: int) -> bool:
+        x, y = self.center_at(t)
+        return not (0.0 <= x < self.width and 0.0 <= y < self.height)
 
     def center_at(self, t: int) -> tuple[float, float]:
         dx, dy = self.path.offset(t)

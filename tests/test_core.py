@@ -9,6 +9,7 @@ from diverkit.core import (
     GridConfig,
     TrackerConfig,
     ValidationError,
+    band_bin_range,
     grid_for,
     load_tracker_config,
     luminance,
@@ -233,6 +234,19 @@ class TestTrackerConfig:
         assert cfg.slide == 15 and cfg.pool == 5 and cfg.delta == 75.0
         assert cfg.stride == cfg.slide
         assert cfg.band_bins() == [2, 3]
+
+    @pytest.mark.parametrize("fps", [1.0, 7.5, 10.0, 29.97, 30.0])
+    def test_band_bins_closed_form_matches_the_per_bin_test(self, fps):
+        # band edges on bin frequencies are where rounding could move a bin in or out
+        for slide in range(1, 501):
+            for a, b in ((1, 2), (0, slide), (slide // 3, slide // 2), (slide - 1, slide + 1)):
+                lo, hi = a * fps / slide, b * fps / slide
+                loop = [k for k in range(1, slide) if lo - 1e-9 <= k * fps / slide <= hi + 1e-9]
+                assert list(band_bin_range(slide, fps, (lo, hi))) == loop, (slide, a, b)
+
+    def test_long_slide_validates_without_listing_bins(self):
+        cfg = TrackerConfig.from_dict({"T": 10**8})  # 10**7 bins in the default band
+        assert band_bin_range(cfg.slide, cfg.fps, cfg.band) == range(10**7, 2 * 10**7 + 1)
 
     def test_epsilon_bounds(self):
         with pytest.raises(ValidationError):

@@ -72,6 +72,9 @@ CASES = {
     "experiment-out-number": (  # without --out, so the spec's own "out" is used
         {"exp.json": {"kind": "follow", "scene": {}, "out": 7}}, EXPERIMENT[:3]
     ),
+    "experiment-unknown-key": (  # a misspelt "tracker" must not run with the defaults
+        {"exp.json": {"kind": "track", "scene": {}, "trackr": {"T": 5}}}, EXPERIMENT
+    ),
     "follow-fps-zero": ({}, FOLLOW + ["--fps", "0"]),
     "follow-duration-nan": ({}, FOLLOW + ["--duration-s", "nan"]),
     "follow-offset-inf": ({}, FOLLOW + ["--offset-x", "inf"]),
@@ -100,6 +103,7 @@ CASES = {
     "deeply-nested-spec": ({"spec.json": "[" * 100_000}, SYNTH + ["--kind", "diver"]),
     "deeply-nested-token-line": ({"tokens.jsonl": "[" * 100_000}, DECODE),
     "deeply-nested-manifest": ({"seq/manifest.json": "[" * 100_000}, ["track", "--seq", "{d}/seq"]),
+    "track-missing-seq-dir": ({}, ["track", "--seq", "{d}/nowhere"]),
     "bench-T-not-integer": ({}, ["bench", "--M", "4", "--T", "abc"]),
     "bench-M-not-integer": ({}, ["bench", "--M", "abc", "--T", "15"]),
     "bench-T-zero": ({}, ["bench", "--M", "4", "--T", "15,0"]),
@@ -152,6 +156,14 @@ def test_malformed_input_exits_with_one_error_line(case, tmp_path, diver_seq, ca
     code = main(case_argv(case, tmp_path, diver_seq))
     assert code in (1, 2)
     assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "case, code", [("experiment-unknown-key", 1), ("track-missing-seq-dir", 2)]
+)
+def test_exit_code_tells_validation_from_io(case, code, tmp_path, diver_seq, capsys):
+    assert main(case_argv(case, tmp_path, diver_seq)) == code
+    assert capsys.readouterr().err.startswith("error:" if code == 1 else "I/O error:")
 
 
 def test_malformed_input_prints_no_traceback(tmp_path, diver_seq):

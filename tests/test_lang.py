@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverkit.core import ValidationError
 from diverkit.gesture import GestureClass, GesturePairToken
 from diverkit.lang import (
+    DEBOUNCE_FRAMES,
     DecoderState,
     ParamReconfig,
     Snapshot,
@@ -319,3 +322,43 @@ class TestFuzz:
             burst_len = int(rng.integers(1, 10))
             spiked = plan[:where] + [(burst_pair, burst_len)] + plan[where:]
             assert decode(pair_stream(spiked), TABLE) == base
+
+
+# ---------------------------------------------------------------------------
+# property: bursts shorter than the debounce window never change the decode
+# ---------------------------------------------------------------------------
+
+TOKEN_NAMES = [token.name for token in TABLE.pairs.values()]
+MAPPED_PAIRS = [(left.name, right.name) for left, right in TABLE.pairs]
+ANY_PAIR = [(a.name, b.name) for a in GestureClass for b in GestureClass] + [None]
+
+
+@st.composite
+def held_plans_with_bursts(draw):
+    """A plan of held mapped-pair runs, and the same plan with short bursts at run boundaries.
+
+    Held runs spell canonical programs or arbitrary tokens; consecutive runs
+    differ, so each confirms once. At most one burst sits at each boundary, so
+    no two bursts can join into a confirmable run.
+    """
+    programs = st.lists(st.sampled_from(sorted(CANONICAL)), min_size=1, max_size=3).map(
+        lambda keys: [name for key in keys for name in CANONICAL[key]]
+    )
+    names = draw(programs | st.lists(st.sampled_from(TOKEN_NAMES), min_size=1, max_size=12))
+    pairs = [pair for pair, _ in plan_for_tokens(names)[:-1]]  # without the closing rest
+    pairs = [p for i, p in enumerate(pairs) if i == 0 or p != pairs[i - 1]]
+    held = [(p, draw(st.integers(DEBOUNCE_FRAMES, 2 * DEBOUNCE_FRAMES))) for p in pairs]
+    burst_pair = st.sampled_from(MAPPED_PAIRS) | st.sampled_from(ANY_PAIR)  # mapped half the time
+    burst = st.tuples(burst_pair, st.integers(1, DEBOUNCE_FRAMES - 1))
+    bursts = draw(st.lists(st.none() | burst, min_size=len(held) + 1, max_size=len(held) + 1))
+    spiked = []
+    for run, extra in zip(held + [None], bursts):
+        spiked += ([extra] if extra else []) + ([run] if run else [])
+    return held, spiked
+
+
+@settings(max_examples=200, deadline=None)
+@given(held_plans_with_bursts())
+def test_decoder_invariant_under_sub_debounce_bursts(plans):
+    held, spiked = plans
+    assert decode(pair_stream(spiked), TABLE) == decode(pair_stream(held), TABLE)

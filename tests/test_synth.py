@@ -142,6 +142,25 @@ class TestDiverScene:
             DiverSceneSpec.from_dict(raw)
 
 
+    @pytest.mark.parametrize(
+        "path, start, first_out",
+        [
+            (PathSpec("straight", vx=1.0, vy=0.5), (20.0, 45.0), 70),  # x reaches 90 at t=70
+            (PathSpec("straight", vx=-0.25, vy=-2.0), (45.0, 45.0), 23),  # y < 0 from t=23
+            (PathSpec("sideways", vx=-3.0), (40.0, 45.0), 14),
+            (PathSpec("static"), (90.0, 45.0), 0),
+            (PathSpec("sinusoid", amplitude=50.0, period=40.0), (45.0, 45.0), 8),
+        ],
+    )
+    def test_first_frame_outside_is_named(self, path, start, first_out):
+        with pytest.raises(ValidationError, match=f"at t={first_out} "):
+            self.spec(frames=100, path=path, start=start)
+
+    def test_monotone_paths_are_checked_without_a_pass_per_frame(self):
+        # a per-frame check of 10**8 frames would take about a minute
+        spec = DiverSceneSpec.from_dict({"frames": 10**8, "path": {"kind": "straight", "vx": 1e-7}})
+        assert spec.center_at(10**8 - 1)[0] == pytest.approx(170.0)
+
 class TestHandShapes:
     def test_ten_distinct_connected_silhouettes(self):
         seen = []
