@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, harness, lang, raster, servo, synth, tracker
-from .core import TrackerConfig, ValidationError, grid_for, integer, load_tracker_config, read_json
-from .gesture import GesturePairToken, OracleRecognizer, ShapeRecognizer
-from .raster import CorruptFrameError
+from .core import TrackerConfig, ValidationError, grid_for, integer, load_tracker_config
+from .core import read_json, write_jsonl
+from .gesture import RECOGNIZERS, GesturePairToken, recognize_sequence
 from .tracker import StateError
 
 
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--tokens", help="gesture-pair token JSONL file")
     group.add_argument("--seq", help="RGB sequence directory")
     p.add_argument("--mapping", default=None, help="mapping table JSON")
-    p.add_argument("--recognizer", choices=["oracle", "shape"], default="oracle")
+    p.add_argument("--recognizer", choices=RECOGNIZERS, default="oracle")
     p.add_argument("--out", default="-", help="instructions JSONL file ('-' = stdout)")
 
     p = sub.add_parser("follow", help="closed-loop follow simulation")
@@ -94,27 +94,14 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
 def cmd_track(args) -> int:
     manifest = raster.read_manifest(args.seq)
+    truth = synth.GroundTruth.from_dict(raster.read_truth(args.seq) or {})
     cfg = load_tracker_config(args.config) if args.config else TrackerConfig()
     # frames stream into the tracker; nothing is written until every one is read
     results = tracker.track_sequence(raster.iter_sequence(args.seq), cfg)
-    out, close = _open_out(args.out)
-    try:
-        for result in results:
-            out.write(json.dumps(result.to_record(), sort_keys=True) + "\n")
-    finally:
-        if close:
-            out.close()
-    truth_raw = raster.read_truth(args.seq)
-    if truth_raw is not None and "centers" in truth_raw:
-        truth = synth.GroundTruth.from_dict(truth_raw)
+    write_jsonl(args.out, results)
+    if truth.centers is not None:
         grid = grid_for(cfg, manifest["width"], manifest["height"])
         report = harness.score_detection(results, truth, cfg, grid)
         print(f"cycles: {report.cycles}")
@@ -141,28 +128,11 @@ def cmd_decode(args) -> int:
     if args.tokens:
         stream = _read_token_stream(args.tokens)
     else:
-        if args.recognizer == "oracle":
-            truth_raw = raster.read_truth(args.seq)
-            if truth_raw is None or "gesture_labels" not in truth_raw:
-                raise ValidationError(
-                    f"{args.seq}: oracle recognizer needs truth.json with gesture labels"
-                )
-            recognizer = OracleRecognizer(synth.GroundTruth.from_dict(truth_raw).gesture_labels)
-        else:
-            recognizer = ShapeRecognizer()
-        stream = []
-        for i, frame in enumerate(raster.iter_sequence(args.seq)):
-            if args.recognizer == "shape" and frame.channels != 3:
-                raise ValidationError(f"{args.seq}: the shape recognizer needs an RGB sequence")
-            stream.append(recognizer(frame, i))
-    instructions = lang.decode(stream, mapping)
-    out, close = _open_out(args.out)
-    try:
-        for instruction in instructions:
-            out.write(json.dumps(instruction.to_record(), sort_keys=True) + "\n")
-    finally:
-        if close:
-            out.close()
+        raster.read_manifest(args.seq)  # a missing directory is an I/O error, before truth
+        truth = synth.GroundTruth.from_dict(raster.read_truth(args.seq) or {})
+        frames = raster.iter_sequence(args.seq)
+        stream = recognize_sequence(frames, args.recognizer, truth.gesture_labels)
+    write_jsonl(args.out, lang.decode(stream, mapping))
     return 0
 
 
@@ -268,10 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, StateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CorruptFrameError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except OSError as exc:  # CorruptFrameError included
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,13 +7,15 @@ right/bottom margin left over by the flooring are not part of any window.
 
 Every JSON config, spec and record is read by :func:`read_json` and
 :func:`read_fields` (a key -> (field, converter) table), so malformed input
-becomes one :class:`ValidationError` naming the file or the key.
+becomes one :class:`ValidationError` naming the file or the key; every JSONL
+record file is written by :func:`write_jsonl`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -270,6 +272,15 @@ def read_json(source, what: str) -> dict:
     if not isinstance(data, dict):
         raise ValidationError(f"{source}: {what} must be a JSON object")
     return data
+
+
+def write_jsonl(path, items) -> None:
+    """Write each item's ``to_record()`` as one sorted-key JSON line; ``"-"`` is stdout."""
+    lines = "".join(json.dumps(item.to_record(), sort_keys=True) + "\n" for item in items)
+    if path == "-":
+        sys.stdout.write(lines)
+    else:
+        Path(path).write_text(lines)
 
 
 def read_fields(raw: dict, table: dict, what: str, required: tuple = ()) -> dict:

@@ -15,12 +15,14 @@ threshold of the full HSV image bit for bit.
 Recognizers are pluggable callables ``(frame, frame_index) -> GesturePairToken``
 so a learned detector can replace the shape pipeline later. Two ship here:
 ``ShapeRecognizer`` (the pipeline above) and ``OracleRecognizer`` (replays
-synthetic-scene ground truth, for isolating the decoder).
+synthetic-scene ground truth, for isolating the decoder); every front end
+picks one by name and runs it over a sequence with :func:`recognize_sequence`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -220,6 +222,7 @@ def region_from_pixels(xs: np.ndarray, ys: np.ndarray) -> Region:
 
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+MIN_HAND_AREA = 100  # pixels; a smaller skin region is not a hand
 
 
 def extract_regions(mask: np.ndarray, min_area: int = 100) -> list[Region]:
@@ -267,12 +270,14 @@ class RegionCache:
         return out
 
 
+# a region is plausible if it lies within this many box sizes of a cached hand
+# and its area is within this factor of the hand's, either way
+OUTLIER_DISTANCE_FACTOR = 1.5
+OUTLIER_AREA_FACTOR = 3.0
+
+
 def reject_outliers(
-    regions: list[Region],
-    cache: RegionCache | None,
-    frame_index: int = 0,
-    distance_factor: float = 1.5,
-    area_factor: float = 3.0,
+    regions: list[Region], cache: RegionCache | None, frame_index: int = 0
 ) -> list[Region]:
     """Drop regions inconsistent with every cached hand; identity without cache."""
     if cache is None:
@@ -289,7 +294,7 @@ def reject_outliers(
                 region.centroid[1] - entry.centroid[1],
             )
             ratio = max(region.area / entry.area, entry.area / max(region.area, 1))
-            if dist <= distance_factor * scale and ratio <= area_factor:
+            if dist <= OUTLIER_DISTANCE_FACTOR * scale and ratio <= OUTLIER_AREA_FACTOR:
                 return True
         return False
 
@@ -370,7 +375,6 @@ def recognize_pair(
     cache: RegionCache | None,
     bank: TemplateBank,
     hsv_range: HsvRange,
-    min_area: int = 100,
     frame_index: int = 0,
 ) -> GesturePairToken:
     """Full pipeline for one frame; a missing hand leaves its side as None.
@@ -379,7 +383,7 @@ def recognize_pair(
     person's right hand and the larger x the person's left.
     """
     mask = segment_skin(frame, hsv_range)
-    regions = reject_outliers(extract_regions(mask, min_area), cache, frame_index)
+    regions = reject_outliers(extract_regions(mask, MIN_HAND_AREA), cache, frame_index)
     matched = [(region, *match_gesture(region, bank)) for region in regions]
     matched.sort(key=lambda m: (-m[2], -m[0].area, m[0].centroid[0]))
     matched = sorted(matched[:2], key=lambda m: m[0].centroid[0])
@@ -407,26 +411,19 @@ def recognize_pair(
 class ShapeRecognizer:
     """Stateful shape-pipeline recognizer (one region cache per stream)."""
 
-    def __init__(
-        self,
-        bank: TemplateBank | None = None,
-        hsv_range: HsvRange | None = None,
-        min_area: int = 100,
-        horizon: int = 30,
-    ):
+    def __init__(self, bank: TemplateBank | None = None, hsv_range: HsvRange | None = None):
         if bank is None or hsv_range is None:
             default_hsv, default_bank = load_gesture_config()
             bank = bank if bank is not None else default_bank
             hsv_range = hsv_range if hsv_range is not None else default_hsv
         self.bank = bank
         self.hsv_range = hsv_range
-        self.min_area = min_area
-        self.cache = RegionCache(horizon=horizon)
+        self.cache = RegionCache()
 
     def __call__(self, frame: Frame, frame_index: int) -> GesturePairToken:
-        return recognize_pair(
-            frame, self.cache, self.bank, self.hsv_range, self.min_area, frame_index
-        )
+        if frame.channels != 3:
+            raise ValidationError(f"frame {frame_index} is gray; the shape recognizer needs RGB")
+        return recognize_pair(frame, self.cache, self.bank, self.hsv_range, frame_index)
 
 
 class OracleRecognizer:
@@ -446,6 +443,21 @@ class OracleRecognizer:
             conf_left=1.0 if left else None,
             conf_right=1.0 if right else None,
         )
+
+
+RECOGNIZERS = ("oracle", "shape")
+
+
+def recognize_sequence(
+    frames: Iterable[Frame], name: str, labels: list | None
+) -> list[GesturePairToken]:
+    """One gesture pair per frame from the recognizer ``name``; the oracle replays ``labels``."""
+    if name not in RECOGNIZERS:
+        raise ValidationError(f"unknown recognizer {name!r}; expected one of {RECOGNIZERS}")
+    if name == "oracle" and labels is None:
+        raise ValidationError("the oracle recognizer needs ground-truth gesture labels (truth.json)")
+    recognizer = OracleRecognizer(labels) if name == "oracle" else ShapeRecognizer()
+    return [recognizer(frame, i) for i, frame in enumerate(frames)]
 
 
 def build_default_bank() -> TemplateBank:

@@ -19,8 +19,8 @@ from pathlib import Path
 
 from . import lang, raster, servo, synth, tracker
 from .core import DetectionResult, GridConfig, TrackerConfig, ValidationError, grid_for, read_json
-from .core import fields, read_fields  # table helpers
-from .gesture import OracleRecognizer, ShapeRecognizer
+from .core import fields, read_fields, write_jsonl  # table helpers, record writer
+from .gesture import recognize_sequence
 from .synth import DiverSceneSpec, GestureSceneSpec, GroundTruth
 
 POSITIVE = "positive"
@@ -243,9 +243,7 @@ def _run_track(spec: dict, out: Path) -> dict:
     results = tracker.track_sequence(frames, cfg)
     grid = grid_for(cfg, scene.width, scene.height)
     report = score_detection(results, truth, cfg, grid)
-    with open(out / "detections.jsonl", "w") as fh:
-        for result in results:
-            fh.write(json.dumps(result.to_record(), sort_keys=True) + "\n")
+    write_jsonl(out / "detections.jsonl", results)
     raster.write_truth(out, truth.to_dict())
     return {"scene": scene.to_dict(), "detection": report.to_dict()}
 
@@ -256,15 +254,8 @@ def _run_decode(spec: dict, out: Path) -> dict:
     mapping = lang.load_mapping(spec.get("mapping") or None)
     frames, truth = synth.render_gesture_sequence(scene)
 
-    oracle = OracleRecognizer(truth.gesture_labels)
-    truth_stream = [oracle(f, i) for i, f in enumerate(frames)]
-    if recognizer_name == "oracle":
-        stream = truth_stream
-    elif recognizer_name == "shape":
-        shape = ShapeRecognizer()
-        stream = [shape(f, i) for i, f in enumerate(frames)]
-    else:
-        raise ValidationError(f"unknown recognizer {recognizer_name!r}")
+    truth_stream = recognize_sequence(frames, "oracle", truth.gesture_labels)
+    stream = recognize_sequence(frames, recognizer_name, truth.gesture_labels)
 
     decoded = lang.decode(stream, mapping)
     expected = lang.decode(truth_stream, mapping)
@@ -272,12 +263,8 @@ def _run_decode(spec: dict, out: Path) -> dict:
     expected_events = lang.debounce(truth_stream, mapping)
     report = score_instructions(decoded, expected, events, expected_events)
 
-    with open(out / "tokens.jsonl", "w") as fh:
-        for token in stream:
-            fh.write(json.dumps(token.to_record(), sort_keys=True) + "\n")
-    with open(out / "instructions.jsonl", "w") as fh:
-        for instruction in decoded:
-            fh.write(json.dumps(instruction.to_record(), sort_keys=True) + "\n")
+    write_jsonl(out / "tokens.jsonl", stream)
+    write_jsonl(out / "instructions.jsonl", decoded)
     return {
         "scene": scene.to_dict(),
         "recognizer": recognizer_name,

@@ -10,17 +10,19 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+TRUNCATE = 3.0  # Gaussian taps end this many sigmas from the center
+
 
 def active_backend() -> str:
     """Name of the kernel implementation, recorded in bench reports."""
     return "numpy"
 
 
-def gaussian_kernel1d(sigma: float, truncate: float = 3.0) -> np.ndarray:
-    """Normalized 1-D Gaussian taps, truncated at ``truncate`` sigmas."""
+def gaussian_kernel1d(sigma: float) -> np.ndarray:
+    """Normalized 1-D Gaussian taps, truncated at ``TRUNCATE`` sigmas."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    radius = int(truncate * sigma + 0.5)
+    radius = int(TRUNCATE * sigma + 0.5)
     if sigma == 0 or radius == 0:
         return np.ones(1)
     x = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -28,12 +30,12 @@ def gaussian_kernel1d(sigma: float, truncate: float = 3.0) -> np.ndarray:
     return k / k.sum()
 
 
-def gaussian_blur(img: np.ndarray, sigma: float, truncate: float = 3.0) -> np.ndarray:
+def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Blur a 2-D image with a separable Gaussian (symmetric boundary)."""
     img = np.ascontiguousarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("gaussian_blur expects a 2-D array")
-    taps = gaussian_kernel1d(sigma, truncate)
+    taps = gaussian_kernel1d(sigma)
     r = taps.size // 2
     if r == 0:
         return img.copy()
@@ -43,14 +45,14 @@ def gaussian_blur(img: np.ndarray, sigma: float, truncate: float = 3.0) -> np.nd
     return sliding_window_view(out, taps.size, axis=1) @ taps
 
 
-def blur_matrix(n: int, sigma: float, truncate: float = 3.0) -> np.ndarray:
+def blur_matrix(n: int, sigma: float) -> np.ndarray:
     """(n, n) matrix G such that ``G @ x`` is the 1-D blur of a length-n ``x``.
 
     Same taps and symmetric boundary as :func:`gaussian_blur`, so
     ``G_h @ img @ G_w.T`` blurs an (h, w) image; radii beyond ``n`` reflect
     repeatedly, as ``np.pad(mode="symmetric")`` does.
     """
-    taps = gaussian_kernel1d(sigma, truncate)
+    taps = gaussian_kernel1d(sigma)
     r = taps.size // 2
     out = np.pad(np.eye(n), ((r, r), (0, 0)), mode="symmetric")
     return sliding_window_view(out, taps.size, axis=0) @ taps

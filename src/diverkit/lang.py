@@ -370,7 +370,10 @@ def _finish(state: DecoderState) -> Instruction | None:
     """Instruction for a GO arriving in ``state``; None if ungrammatical."""
     if state.phase not in (*_NUMBERED, Phase.ARMED):
         return None
-    number = int(state.digits) if state.digits else None
+    try:
+        number = int(state.digits) if state.digits else None
+    except ValueError:  # more digits than Python converts (sys.get_int_max_str_digits)
+        return None
     if state.phase is Phase.TASK_CHOSEN:
         return None if number == 0 else TaskSwitch(task=state.task, duration_s=number)
     if state.phase is Phase.ARMED:

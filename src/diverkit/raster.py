@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Frame, ValidationError
+from .core import Frame, ValidationError, read_json
 
 
 class CorruptFrameError(OSError):
@@ -103,16 +103,12 @@ def write_sequence(directory: str | Path, frames: list[Frame]) -> None:
         fh.write("\n")
 
 
-def _read_json_object(path: Path) -> dict:
-    """Parse a JSON file whose top level must be an object."""
+def _read_json_object(path: Path, what: str) -> dict:
+    """:func:`read_json`, with malformed JSON reported as a corrupt file (an I/O error)."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # bad JSON, undecodable bytes, deep nesting
-        raise CorruptFrameError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise CorruptFrameError(f"{path}: top level must be a JSON object")
-    return data
+        return read_json(path, what)
+    except ValidationError as exc:
+        raise CorruptFrameError(str(exc)) from None
 
 
 def read_manifest(directory: str | Path) -> dict:
@@ -121,7 +117,7 @@ def read_manifest(directory: str | Path) -> dict:
         raise FileNotFoundError(f"{directory}: no such sequence directory")
     if not path.exists():
         raise ValidationError(f"{directory}: missing manifest.json")
-    manifest = _read_json_object(path)
+    manifest = _read_json_object(path, "manifest")
     for key in ("fps", "width", "height", "channels", "frame_count"):
         if key not in manifest:
             raise ValidationError(f"{path}: manifest missing key {key!r}")
@@ -168,4 +164,4 @@ def read_truth(directory: str | Path) -> dict | None:
     path = Path(directory) / "truth.json"
     if not path.exists():
         return None
-    return _read_json_object(path)
+    return _read_json_object(path, "truth")

@@ -313,7 +313,6 @@ def follow_loop(
     fps: float = 10.0,
     frame_w: int = 320,
     frame_h: int = 240,
-    initial_state: RobotState | None = None,
 ) -> list[FollowLogRow]:
     """Closed loop: detect, control, integrate; one log row per frame.
 
@@ -321,7 +320,7 @@ def follow_loop(
     simulation world's truth detector, or a replay of tracker detections).
     """
     cfg = bank.config
-    state = initial_state or RobotState()
+    state = RobotState()
     dt = 1.0 / fps
     cmd = ServoCommand()
     rows = []

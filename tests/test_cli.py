@@ -282,6 +282,42 @@ class TestDecode:
         assert code == 1 and not out.exists()
 
 
+# noiseless, with a still flipper of whole intensities: the frames survive the PGM round trip
+EXACT_DIVER_SPEC = dict(
+    DIVER_SPEC,
+    noise_sigma=0.0,
+    flipper=dict(DIVER_SPEC["flipper"], amplitude=0.0),
+    path={"kind": "sinusoid", "amplitude": 20.0, "period": 6.0},
+)
+
+
+@pytest.mark.parametrize(
+    "synth_kind, experiment, scene, command, records",
+    [
+        ("diver", {"kind": "track"}, EXACT_DIVER_SPEC, ["track"], "detections.jsonl"),
+        (
+            "gesture",
+            {"kind": "decode", "recognizer": "shape"},
+            GESTURE_SPEC,
+            ["decode", "--recognizer", "shape"],
+            "instructions.jsonl",
+        ),
+    ],
+)
+def test_command_writes_what_its_experiment_writes(
+    synth_kind, experiment, scene, command, records, tmp_path
+):
+    spec_path, exp_path, seq = tmp_path / "scene.json", tmp_path / "exp.json", tmp_path / "seq"
+    spec_path.write_text(json.dumps(scene))
+    exp_path.write_text(json.dumps(dict(experiment, scene=scene)))
+    assert main(["synth", "--kind", synth_kind, "--spec", str(spec_path), "--out", str(seq)]) == 0
+    assert main(["experiment", "--spec", str(exp_path), "--out", str(tmp_path / "run")]) == 0
+    out = tmp_path / "out.jsonl"
+    assert main([*command, "--seq", str(seq), "--out", str(out)]) == 0
+    expected = (tmp_path / "run" / records).read_bytes()
+    assert expected and out.read_bytes() == expected
+
+
 class TestFollowCli:
     def test_writes_log(self, tmp_path):
         out = tmp_path / "log.csv"

@@ -8,6 +8,7 @@ return an object or raise ValidationError and nothing else.
 import json
 import math
 import shutil
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -23,7 +24,7 @@ from diverkit.gesture import (
     load_gesture_config,
     parse_gesture_config,
 )
-from diverkit.lang import load_mapping, mapping_from_dict, mapping_to_dict
+from diverkit.lang import DEBOUNCE_FRAMES, Token, load_mapping, mapping_from_dict, mapping_to_dict
 from diverkit.servo import FollowScene, ServoConfig
 from diverkit.synth import DiverSceneSpec, GestureSceneSpec, GestureSegment, GroundTruth
 
@@ -104,6 +105,10 @@ CASES = {
     "deeply-nested-token-line": ({"tokens.jsonl": "[" * 100_000}, DECODE),
     "deeply-nested-manifest": ({"seq/manifest.json": "[" * 100_000}, ["track", "--seq", "{d}/seq"]),
     "track-missing-seq-dir": ({}, ["track", "--seq", "{d}/nowhere"]),
+    "decode-oracle-missing-seq-dir": ({}, ["decode", "--seq", "{d}/nowhere"]),
+    "decode-shape-missing-seq-dir": (
+        {}, ["decode", "--seq", "{d}/nowhere", "--recognizer", "shape"]
+    ),
     "bench-T-not-integer": ({}, ["bench", "--M", "4", "--T", "abc"]),
     "bench-M-not-integer": ({}, ["bench", "--M", "abc", "--T", "15"]),
     "bench-T-zero": ({}, ["bench", "--M", "4", "--T", "15,0"]),
@@ -164,6 +169,28 @@ def test_malformed_input_exits_with_one_error_line(case, tmp_path, diver_seq, ca
 def test_exit_code_tells_validation_from_io(case, code, tmp_path, diver_seq, capsys):
     assert main(case_argv(case, tmp_path, diver_seq)) == code
     assert capsys.readouterr().err.startswith("error:" if code == 1 else "I/O error:")
+
+
+@pytest.mark.parametrize("recognizer", ["oracle", "shape"])
+def test_decode_missing_seq_dir_is_an_io_error(recognizer, tmp_path, diver_seq, capsys):
+    assert main(case_argv(f"decode-{recognizer}-missing-seq-dir", tmp_path, diver_seq)) == 2
+    assert capsys.readouterr().err.startswith("I/O error:")
+
+
+def test_number_beyond_the_int_digit_limit_decodes_to_nothing(tmp_path, capsys):
+    mapping = load_mapping()
+    digits = ["DIGIT_1"] * (sys.get_int_max_str_digits() + 1)
+    rest = {"left": None, "right": None, "conf_l": None, "conf_r": None}
+    records = []
+    for name in ["STOP", "HOVER", *digits, "GO"]:
+        left, right = mapping.pair_for(Token.from_name(name))
+        held = dict(TOKEN, left=left.name, right=right.name)
+        records += [held] * DEBOUNCE_FRAMES + [rest]  # the rest lets a repeated pair fire again
+    lines = [json.dumps(dict(record, frame=i)) + "\n" for i, record in enumerate(records)]
+    (tmp_path / "tokens.jsonl").write_text("".join(lines))
+    assert main([a.replace("{d}", str(tmp_path)) for a in DECODE]) == 0
+    assert (tmp_path / "ins.jsonl").read_text() == ""
+    assert capsys.readouterr().err == ""
 
 
 def test_malformed_input_prints_no_traceback(tmp_path, diver_seq):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -362,3 +363,18 @@ def held_plans_with_bursts(draw):
 def test_decoder_invariant_under_sub_debounce_bursts(plans):
     held, spiked = plans
     assert decode(pair_stream(spiked), TABLE) == decode(pair_stream(held), TABLE)
+
+
+def long_number(count: int) -> list[Token]:
+    return [Token(TokenKind.STOP), Token(TokenKind.HOVER), *[digit(1)] * count, Token(TokenKind.GO)]
+
+
+def test_number_at_the_int_digit_limit_decodes():
+    limit = sys.get_int_max_str_digits()  # 4300 unless configured
+    (instruction,) = decode_tokens(long_number(limit))
+    assert instruction.task == "HOVER" and instruction.duration_s == int("1" * limit)
+    assert len(json.dumps(instruction.to_record())) > limit
+
+
+def test_number_beyond_the_int_digit_limit_is_ungrammatical():
+    assert decode_tokens(long_number(sys.get_int_max_str_digits() + 1)) == []

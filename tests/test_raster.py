@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diverkit.core import Frame, ValidationError
 from diverkit.raster import (
@@ -140,3 +143,25 @@ def test_truth_roundtrip(tmp_path):
     write_truth(tmp_path, {"centers": [[1.0, 2.0]], "windows": [3]})
     assert read_truth(tmp_path) == {"centers": [[1.0, 2.0]], "windows": [3]}
     assert read_truth(tmp_path / "nowhere") is None
+
+
+
+@st.composite
+def pnm_arrays(draw):
+    """Gray or RGB arrays of 1 to 40 px per side: uint8, or floats partly out of range."""
+    side = st.integers(1, 40)
+    shape = draw(st.tuples(side, side) | st.tuples(side, side, st.just(3)))
+    halves = st.integers(-100, 600).map(lambda k: k / 2)  # where rounding rules differ
+    floats = arrays(np.float64, shape, elements=st.floats(-50.0, 300.0) | halves)
+    return draw(arrays(np.uint8, shape) | floats)
+
+
+@settings(max_examples=50, deadline=None)
+@given(pixels=pnm_arrays())
+def test_pnm_round_trip(tmp_path_factory, pixels):
+    path = tmp_path_factory.mktemp("pnm") / ("a.pgm" if pixels.ndim == 2 else "a.ppm")
+    write_pnm(path, pixels)
+    got = read_pnm(path)
+    expected = pixels if pixels.dtype == np.uint8 else np.clip(np.floor(pixels + 0.5), 0, 255)
+    assert got.dtype == np.uint8 and got.shape == pixels.shape
+    assert (got == expected).all()

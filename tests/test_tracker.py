@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverkit import kernels, synth, tracker
 from diverkit.core import Frame, GridConfig, TrackerConfig, ValidationError, window_center
@@ -542,3 +544,44 @@ class TestTrackSequence:
         m = 9
         assert counters.transition_evals == len(results) * CFG.slide * m * m
         assert counters.dft_mults == len(results) * CFG.pool * CFG.slide**2
+
+
+@st.composite
+def viterbi_instances(draw):
+    """A random grid of at most 9 windows, not necessarily square, with a model and evidence."""
+    cols = draw(st.integers(1, 9))
+    rows = draw(st.integers(1, 9 // cols))
+    win_w, win_h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    grid = GridConfig(
+        cols * win_w + draw(st.integers(0, win_w - 1)),
+        rows * win_h + draw(st.integers(0, win_h - 1)),
+        win_w,
+        win_h,
+    )
+    m, slide = grid.num_windows, draw(st.integers(2, 5))
+    lo = draw(st.floats(0.0, 255.0))
+    cfg = TrackerConfig(
+        slide=slide,
+        pool=draw(st.integers(1, m)),
+        epsilon=draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+        intensity_range=(lo, draw(st.floats(lo, 255.0))),
+        band=(1.0, 9.0),
+    )
+    # whole intensities and the range ends make ties likely
+    whole = st.integers(0, 255).map(float)
+    value = st.floats(0.0, 255.0) | whole | st.sampled_from(cfg.intensity_range)
+    evidence = draw(st.lists(value, min_size=slide * m, max_size=slide * m))
+    return grid, cfg, np.array(evidence).reshape(slide, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(viterbi_instances())
+def test_pool_matches_enumeration_on_random_grids(instance):
+    grid, cfg, evidence = instance
+    log_trans = transition_log_matrix(grid)
+    tables = HmmTables.fresh(grid.num_windows, cfg.slide)
+    for row in evidence:
+        viterbi_update(tables, row, cfg, log_trans)
+    got = top_p_trajectories(tables, cfg.pool)
+    assert len(got) == cfg.pool
+    check_pool_against_enumeration(got, evidence, cfg, log_trans, tables)
