@@ -207,6 +207,9 @@ class TrackerConfig:
             self, "intensity_range", tuple(float(v) for v in self.intensity_range)
         )
         object.__setattr__(self, "band", tuple(float(v) for v in self.band))
+        for name in ("delta", "fps", "gauss_sigma", "band"):
+            if not all(math.isfinite(v) for v in np.atleast_1d(getattr(self, name))):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.slide < 1:
             raise ValidationError("slide size must be >= 1")
         if self.pool < 1:

@@ -63,16 +63,6 @@ class GestureClass(Enum):
 hand_class = optional(GestureClass.from_name)
 
 
-DIGIT_CLASSES = (
-    GestureClass.zero,
-    GestureClass.one,
-    GestureClass.two,
-    GestureClass.three,
-    GestureClass.four,
-    GestureClass.five,
-)
-
-
 # ---------------------------------------------------------------------------
 # color segmentation
 # ---------------------------------------------------------------------------
@@ -174,13 +164,10 @@ def _hull_pixel_count(xs: np.ndarray, ys: np.ndarray) -> int:
         hull = ConvexHull(pts)
     except QhullError:
         return len(xs)  # degenerate (collinear) region
-    gx, gy = np.meshgrid(
-        np.arange(xs.min(), xs.max() + 1), np.arange(ys.min(), ys.max() + 1)
-    )
-    grid = np.column_stack([gx.ravel(), gy.ravel()]).astype(np.float64)
-    inside = np.ones(len(grid), dtype=bool)
-    for a, b, c in hull.equations:
-        inside &= grid[:, 0] * a + grid[:, 1] * b + c <= 1e-9
+    gx = np.arange(xs.min(), xs.max() + 1.0)  # pixel-center columns
+    gy = np.arange(ys.min(), ys.max() + 1.0)[:, None]  # and rows
+    a, b, c = hull.equations.T[..., None, None]  # per edge: inside where a*x + b*y + c <= 0
+    inside = (a * gx + b * gy + c <= 1e-9).all(axis=0)
     return int(inside.sum())
 
 
@@ -315,16 +302,12 @@ def match_gesture(
     """Nearest template by descriptor L2; confidence = 1 / (1 + distance)."""
     if not bank:
         raise ValidationError("template bank is empty")
-    best_cls = None
-    best_dist = math.inf
-    for cls in GestureClass:  # enum order fixes tie-breaking
-        if cls not in bank:
-            continue
-        dist = float(np.linalg.norm(region.descriptor - bank[cls]))
-        if dist < best_dist:
-            best_cls = cls
-            best_dist = dist
-    return best_cls, 1.0 / (1.0 + best_dist)
+
+    def distance(cls: GestureClass) -> float:
+        return float(np.linalg.norm(region.descriptor - bank[cls]))
+
+    best = min((cls for cls in GestureClass if cls in bank), key=distance)  # enum order breaks ties
+    return best, 1.0 / (1.0 + distance(best))
 
 
 @dataclass(frozen=True)

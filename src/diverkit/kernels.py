@@ -1,14 +1,17 @@
 """Numeric kernels shared by the tracker and the scene pipeline.
 
-Plain numpy: the separable Gaussian blur of the gesture path, the blur matrix
-the tracker folds into its evidence projections, one Viterbi table update and
-a direct DFT. All take and return float64 arrays and are deterministic.
+numpy plus ``scipy.ndimage``: the Gaussian blur of the gesture path, the blur
+matrix the tracker folds into its evidence projections, one Viterbi table
+update and a direct DFT. All take and return float64 arrays and are
+deterministic.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
 TRUNCATE = 3.0  # Gaussian taps end this many sigmas from the center
 
@@ -18,44 +21,33 @@ def active_backend() -> str:
     return "numpy"
 
 
-def gaussian_kernel1d(sigma: float) -> np.ndarray:
-    """Normalized 1-D Gaussian taps, truncated at ``TRUNCATE`` sigmas."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    radius = int(TRUNCATE * sigma + 0.5)
-    if sigma == 0 or radius == 0:
-        return np.ones(1)
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    return k / k.sum()
+def _checked_sigma(sigma: float) -> float:
+    """``sigma`` if finite and >= 0; scipy reads a negative or NaN sigma as 0."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    return sigma
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Blur a 2-D image with a separable Gaussian (symmetric boundary)."""
-    img = np.ascontiguousarray(img, dtype=np.float64)
+    """Blur a 2-D image with a separable Gaussian (symmetric boundary).
+
+    Taps end ``TRUNCATE`` sigmas from the center; sigma 0 returns a copy.
+    """
+    img = np.ascontiguousarray(img, dtype=np.float64)  # a strided channel plane blurs slower
     if img.ndim != 2:
         raise ValueError("gaussian_blur expects a 2-D array")
-    taps = gaussian_kernel1d(sigma)
-    r = taps.size // 2
-    if r == 0:
-        return img.copy()
-    out = np.pad(img, ((r, r), (0, 0)), mode="symmetric")
-    out = sliding_window_view(out, taps.size, axis=0) @ taps
-    out = np.pad(out, ((0, 0), (r, r)), mode="symmetric")
-    return sliding_window_view(out, taps.size, axis=1) @ taps
+    return ndimage.gaussian_filter(img, _checked_sigma(sigma), mode="reflect", truncate=TRUNCATE)
 
 
 def blur_matrix(n: int, sigma: float) -> np.ndarray:
     """(n, n) matrix G such that ``G @ x`` is the 1-D blur of a length-n ``x``.
 
-    Same taps and symmetric boundary as :func:`gaussian_blur`, so
-    ``G_h @ img @ G_w.T`` blurs an (h, w) image; radii beyond ``n`` reflect
-    repeatedly, as ``np.pad(mode="symmetric")`` does.
+    Column j is the blur of the j-th unit vector, with the taps and symmetric
+    boundary of :func:`gaussian_blur`, so ``G_h @ img @ G_w.T`` blurs an
+    (h, w) image; radii beyond ``n`` reflect repeatedly.
     """
-    taps = gaussian_kernel1d(sigma)
-    r = taps.size // 2
-    out = np.pad(np.eye(n), ((r, r), (0, 0)), mode="symmetric")
-    return sliding_window_view(out, taps.size, axis=0) @ taps
+    sigmas = (_checked_sigma(sigma), 0.0)  # scipy skips the axis whose sigma is 0
+    return ndimage.gaussian_filter(np.eye(n), sigmas, mode="reflect", truncate=TRUNCATE)
 
 
 def viterbi_step(

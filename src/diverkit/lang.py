@@ -25,8 +25,8 @@ from pathlib import Path
 from .core import ValidationError, fields, listof, read_fields, read_json
 from .gesture import GestureClass, GesturePairToken
 
-DEBOUNCE_FRAMES = 10
-IDLE_TIMEOUT_FRAMES = 600
+DEBOUNCE_FRAMES = 10  # identical consecutive frames that confirm a pair
+IDLE_TIMEOUT_FRAMES = 600  # frames without a confirmed token that reset a started instruction
 
 
 class TokenKind(Enum):
@@ -273,7 +273,6 @@ class Debouncer:
     """
 
     table: MappingTable
-    window: int = DEBOUNCE_FRAMES
     last_pair: RawPair = (None, None)
     run_length: int = 0
     fired: bool = False
@@ -281,22 +280,20 @@ class Debouncer:
     def update(self, token: GesturePairToken) -> Token | None:
         pair = token.pair
         if pair == self.last_pair:
-            self.run_length = min(self.run_length + 1, self.window)
+            self.run_length = min(self.run_length + 1, DEBOUNCE_FRAMES)
         else:
             self.last_pair = pair
             self.run_length = 1
             self.fired = False
-        if self.run_length >= self.window and not self.fired:
+        if self.run_length >= DEBOUNCE_FRAMES and not self.fired:
             self.fired = True
             return self.table.lookup(*pair)
         return None
 
 
-def debounce(
-    stream: list[GesturePairToken], table: MappingTable, window: int = DEBOUNCE_FRAMES
-) -> list[tuple[int, Token]]:
+def debounce(stream: list[GesturePairToken], table: MappingTable) -> list[tuple[int, Token]]:
     """Confirmed (frame, token) events of a pair stream, in order."""
-    deb = Debouncer(table, window)
+    deb = Debouncer(table)
     events = []
     for token in stream:
         confirmed = deb.update(token)
@@ -388,15 +385,9 @@ def _finish(state: DecoderState) -> Instruction | None:
 class StreamDecoder:
     """Debounce plus FSM over one pair stream, with an idle-reset timeout."""
 
-    def __init__(
-        self,
-        table: MappingTable,
-        window: int = DEBOUNCE_FRAMES,
-        idle_timeout: int = IDLE_TIMEOUT_FRAMES,
-    ):
-        self.debouncer = Debouncer(table, window)
+    def __init__(self, table: MappingTable):
+        self.debouncer = Debouncer(table)
         self.state = DecoderState()
-        self.idle_timeout = idle_timeout
         self.frames_since_confirmed = 0
 
     def feed(self, token: GesturePairToken) -> Instruction | None:
@@ -404,7 +395,7 @@ class StreamDecoder:
         if confirmed is None:
             if self.state.phase is not Phase.IDLE:
                 self.frames_since_confirmed += 1
-                if self.frames_since_confirmed >= self.idle_timeout:
+                if self.frames_since_confirmed >= IDLE_TIMEOUT_FRAMES:
                     self.state = DecoderState()
                     self.frames_since_confirmed = 0
             return None
@@ -415,13 +406,9 @@ class StreamDecoder:
         return instruction
 
 
-def decode(
-    stream: list[GesturePairToken],
-    table: MappingTable,
-    window: int = DEBOUNCE_FRAMES,
-) -> list[Instruction]:
+def decode(stream: list[GesturePairToken], table: MappingTable) -> list[Instruction]:
     """Decode a whole pair stream into instructions, in emission order."""
-    decoder = StreamDecoder(table, window)
+    decoder = StreamDecoder(table)
     out = []
     for token in stream:
         instruction = decoder.feed(token)

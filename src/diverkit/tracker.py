@@ -154,16 +154,12 @@ def top_p_trajectories(
         raise StateError(
             f"need {tables.slide} frames before extraction, have {tables.cycle_t}"
         )
-    m = tables.log_mu.shape[0]
-    order = sorted(range(m), key=lambda j: (-tables.log_mu[j], j))
-    out = []
-    for j in order[: min(pool, m)]:
-        traj = np.empty(tables.slide, dtype=np.int64)
-        traj[-1] = j
-        for t in range(tables.slide - 1, 0, -1):
-            traj[t - 1] = tables.backptr[t, traj[t]]
-        out.append((traj, float(tables.log_mu[j])))
-    return out
+    order = np.argsort(-tables.log_mu, kind="stable")[:pool]
+    trajs = np.empty((order.size, tables.slide), dtype=np.int64)
+    trajs[:, -1] = order
+    for t in range(tables.slide - 1, 0, -1):
+        trajs[:, t - 1] = tables.backptr[t, trajs[:, t]]
+    return [(traj, float(tables.log_mu[j])) for traj, j in zip(trajs, order)]
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +252,23 @@ class Tracker:
         tables = HmmTables.fresh(grid.num_windows, cfg.slide)
         for t in range(cfg.slide):
             viterbi_update(tables, evidence[t], cfg, self.log_trans, self.counters)
-        pool = top_p_trajectories(tables, cfg.pool)
-
-        best_traj = None
-        best_score = -1.0
-        pool_scores = []
-        for traj, _ in pool:
-            series = evidence[np.arange(cfg.slide), traj]
-            score = band_score(dtft(series, self.counters), cfg)
-            pool_scores.append((int(traj[-1]), score))
-            if score > best_score or (
-                score == best_score and best_traj is not None and traj[-1] < best_traj[-1]
-            ):
-                best_traj = traj
-                best_score = score
-
-        cx, cy = window_center(grid, int(best_traj[-1]))
+        trajs = np.array([traj for traj, _ in top_p_trajectories(tables, cfg.pool)])
+        pool_scores = tuple(
+            (int(traj[-1]), band_score(dtft(series, self.counters), cfg))
+            for traj, series in zip(trajs, evidence[np.arange(cfg.slide), trajs])
+        )
+        # highest band score wins; a tie goes to the lower terminal window
+        best = min(range(len(trajs)), key=lambda k: (-pool_scores[k][1], pool_scores[k][0]))
+        window, best_score = pool_scores[best]
+        cx, cy = window_center(grid, window)
         bbox = BoundingBox(cx, cy, grid.window_w, grid.window_h, best_score)
         return DetectionResult(
-            trajectory=best_traj,
+            trajectory=trajs[best],
             score=best_score,
             detected=best_score >= cfg.delta,
             bbox=bbox,
             cycle_index=cycle_index,
-            pool_scores=tuple(pool_scores),
+            pool_scores=pool_scores,
         )
 
 

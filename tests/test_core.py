@@ -259,6 +259,21 @@ class TestTrackerConfig:
             TrackerConfig(stride=16)
         assert TrackerConfig(stride=1).stride == 1
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"delta": math.nan}, "delta"),
+            ({"delta": math.inf}, "delta"),
+            ({"gauss_sigma": math.nan}, "gauss_sigma"),
+            ({"gauss_sigma": math.inf}, "gauss_sigma"),
+            ({"band": (math.nan, 2.0)}, "band"),
+            ({"band": (1.0, math.inf)}, "band"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, kwargs, field):
+        with pytest.raises(ValidationError, match=field):
+            TrackerConfig(**kwargs)
+
     def test_band_without_integer_bin_rejected(self):
         with pytest.raises(ValidationError):
             TrackerConfig(slide=3, band=(1.0, 2.0))  # bins at 3.33, 6.67 Hz only

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from diverkit import gesture, kernels, synth
 from diverkit.core import Frame, ValidationError
@@ -196,6 +197,60 @@ class TestRegions:
         mask[10:15, 10:15] = True
         regions = extract_regions(mask, min_area=10)
         assert len(regions) == 1
+
+
+def cross(o, a, b):
+    """z of (a - o) x (b - o); positive when o, a, b turn counter-clockwise."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def monotone_chain(points):
+    """Counter-clockwise convex hull of integer points (A. M. Andrew, 1979)."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    return half(pts) + half(reversed(pts))
+
+
+def hull_lattice_count(xs, ys):
+    """Exact oracle: bounding-box lattice points on or inside the hull of the pixels."""
+    hull = monotone_chain(zip(xs.tolist(), ys.tolist()))
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    return sum(
+        all(cross(a, b, (x, y)) >= 0 for a, b in edges)
+        for x in range(xs.min(), xs.max() + 1)
+        for y in range(ys.min(), ys.max() + 1)
+    )
+
+
+@st.composite
+def largest_components(draw):
+    """Pixel coordinates of the largest 8-connected component of a random mask."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cells = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    mask = np.array(cells).reshape(h, w)
+    mask[0, 0] = True  # at least one component
+    labeled, _ = ndimage.label(mask, structure=np.ones((3, 3), bool))
+    sizes = np.bincount(labeled.ravel())[1:]
+    ys, xs = np.nonzero(labeled == 1 + int(np.argmax(sizes)))
+    return xs, ys
+
+
+class TestHullPixelCount:
+    @settings(max_examples=100, deadline=None)
+    @given(largest_components())
+    def test_matches_exact_lattice_count(self, component):
+        xs, ys = component
+        assert gesture._hull_pixel_count(xs, ys) == hull_lattice_count(xs, ys)
 
 
 class TestRejectOutliers:

@@ -42,6 +42,15 @@ def test_blur_matrices_reproduce_the_blur():
         assert np.allclose(rows @ img @ cols.T, mine, atol=1e-9)
 
 
+@pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf, -np.inf])
+def test_blur_rejects_negative_or_non_finite_sigma(sigma):
+    # scipy alone would read -1 and NaN as "no blur" and overflow on inf
+    with pytest.raises(ValueError, match="sigma"):
+        kernels.gaussian_blur(np.zeros((4, 4)), sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        kernels.blur_matrix(4, sigma)
+
+
 def test_viterbi_tie_breaks_to_lowest_index():
     mu = np.zeros(3)
     trans = np.zeros((3, 3))

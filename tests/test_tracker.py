@@ -456,6 +456,20 @@ class TestDetectionCycle:
         with pytest.raises(ValidationError):
             trk.detect(np.stack([trk.evidence(f) for f in frames]))
 
+    def test_band_score_tie_goes_to_lower_terminal_window(self):
+        # a 90x30 frame holds three 30x30 windows in a row; windows 1 and 2
+        # carry the same series, and the edge window 2 leads the pool
+        cfg = TrackerConfig(slide=10, pool=2)
+        t = np.arange(cfg.slide)
+        wave = 215.0 + 30.0 * np.sin(2 * np.pi * 1.5 * t / cfg.fps)
+        evidence = np.column_stack([np.full(cfg.slide, 50.0), wave, wave])
+        result = tracker.Tracker(cfg, 90, 30).detect(evidence)
+        (first, first_score), (second, second_score) = result.pool_scores
+        assert (first, second) == (2, 1)
+        assert first_score == second_score == result.score
+        assert result.terminal_window == 1
+        assert (result.trajectory == 1).all()
+
     def test_detected_iff_score_at_least_delta(self):
         rng = np.random.default_rng(0)
         cfg = TrackerConfig(slide=5, pool=4, band=(3.0, 7.0))
