@@ -97,16 +97,15 @@ def cmd_synth(args) -> int:
 def cmd_track(args) -> int:
     manifest = raster.read_manifest(args.seq)
     truth = synth.GroundTruth.from_dict(raster.read_truth(args.seq) or {})
-    cfg = load_tracker_config(args.config) if args.config else TrackerConfig()
+    cfg = TrackerConfig() if args.config is None else load_tracker_config(args.config)
     # frames stream into the tracker; nothing is written until every one is read
     results = tracker.track_sequence(raster.iter_sequence(args.seq), cfg)
     write_jsonl(args.out, results)
     if truth.centers is not None:
         grid = grid_for(cfg, manifest["width"], manifest["height"])
         report = harness.score_detection(results, truth, cfg, grid)
-        print(f"cycles: {report.cycles}")
-        for row in report.render_rows():
-            print(row)
+        summary = sys.stderr if args.out == "-" else sys.stdout  # stdout stays pure JSONL
+        print(f"cycles: {report.cycles}", *report.render_rows(), sep="\n", file=summary)
     return 0
 
 

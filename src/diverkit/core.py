@@ -7,16 +7,19 @@ right/bottom margin left over by the flooring are not part of any window.
 
 Every JSON config, spec and record is read by :func:`read_json` and
 :func:`read_fields` (a key -> (field, converter) table), so malformed input
-becomes one :class:`ValidationError` naming the file or the key; every JSONL
+becomes one :class:`ValidationError` naming the file or the key. Configs and
+scenes are written back from their fields by :func:`to_json`; every JSONL
 record file is written by :func:`write_jsonl`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -237,19 +240,12 @@ class TrackerConfig:
         """Non-DC DFT bins whose center frequency lies inside the band."""
         return list(band_bin_range(self.slide, self.fps, self.band))
 
+    @property
+    def window(self) -> tuple[int, int]:
+        return (self.window_w, self.window_h)
+
     def to_dict(self) -> dict:
-        return {
-            "T": self.slide,
-            "p": self.pool,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "R": list(self.intensity_range),
-            "fps": self.fps,
-            "band": list(self.band),
-            "stride": self.stride,
-            "window": [self.window_w, self.window_h],
-            "gauss_sigma": self.gauss_sigma,
-        }
+        return {key: to_json(getattr(self, name)) for key, (name, _) in _TRACKER_KEYS.items()}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrackerConfig":
@@ -264,7 +260,7 @@ def read_json(source, what: str) -> dict:
 
     Anything but an unreadable file (``OSError``) raises a :class:`ValidationError`.
     """
-    if isinstance(source, str):
+    if isinstance(source, str) and source:  # Path("") would be the working directory
         source = Path(source)
     if not hasattr(source, "read_bytes"):
         raise ValidationError(f"{what} must name a file, got {source!r}")
@@ -312,6 +308,21 @@ def read_fields(raw: dict, table: dict, what: str, required: tuple = ()) -> dict
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"{what} key {key!r}: cannot read {value!r}") from None
     return kwargs
+
+
+def to_json(value):
+    """The JSON form of a value, the inverse of the read side.
+
+    A dataclass becomes an object keyed by field name, an Enum its name, and a
+    tuple or list a list (``listof`` reads only lists), recursively.
+    """
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.name
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    return value
 
 
 def fields(names, convert) -> dict:

@@ -33,7 +33,7 @@ from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError
 
 from . import kernels
-from .core import BoundingBox, Frame, ValidationError, read_fields, read_json
+from .core import BoundingBox, Frame, ValidationError, read_fields, read_json, to_json
 from .core import fields, finite, integer, listof, nested, optional  # table helpers, converters
 
 
@@ -457,11 +457,7 @@ def build_default_bank() -> TemplateBank:
 
 def gesture_config_to_dict(hsv_range: HsvRange, bank: TemplateBank) -> dict:
     return {
-        "hsv": {
-            "h": list(hsv_range.h),
-            "s": list(hsv_range.s),
-            "v": list(hsv_range.v),
-        },
+        "hsv": to_json(hsv_range),
         "templates": {cls.name: [float(v) for v in desc] for cls, desc in bank.items()},
     }
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import lang, raster, servo, synth, tracker
 from .core import DetectionResult, GridConfig, TrackerConfig, ValidationError, grid_for, read_json
-from .core import fields, read_fields, write_jsonl  # table helpers, record writer
+from .core import fields, read_fields, to_json, write_jsonl  # table helpers, writers
 from .gesture import recognize_sequence
 from .synth import DiverSceneSpec, GestureSceneSpec, GroundTruth
 
@@ -228,8 +228,8 @@ def run_experiment(spec: dict, out_dir: str | Path | None = None) -> dict:
 
 
 def _tracker_config(spec: dict) -> TrackerConfig:
-    """The spec's "tracker": an inline config object or a config file name."""
-    ref = spec.get("tracker") or {}
+    """The spec's "tracker": an inline config object or a config file name; null is the default."""
+    ref = {} if spec.get("tracker") is None else spec["tracker"]
     raw = ref if isinstance(ref, dict) else read_json(ref, "tracker config")
     return TrackerConfig.from_dict(raw)
 
@@ -237,21 +237,19 @@ def _tracker_config(spec: dict) -> TrackerConfig:
 def _run_track(spec: dict, out: Path) -> dict:
     scene = DiverSceneSpec.from_dict(spec["scene"])
     cfg = _tracker_config(spec)
-    frames, truth = synth.render_diver_sequence(
-        scene, window=(cfg.window_w, cfg.window_h)
-    )
+    frames, truth = synth.render_diver_sequence(scene, window=cfg.window)
     results = tracker.track_sequence(frames, cfg)
     grid = grid_for(cfg, scene.width, scene.height)
     report = score_detection(results, truth, cfg, grid)
     write_jsonl(out / "detections.jsonl", results)
     raster.write_truth(out, truth.to_dict())
-    return {"scene": scene.to_dict(), "detection": report.to_dict()}
+    return {"scene": to_json(scene), "detection": report.to_dict()}
 
 
 def _run_decode(spec: dict, out: Path) -> dict:
     scene = GestureSceneSpec.from_dict(spec["scene"])
     recognizer_name = spec.get("recognizer", "oracle")
-    mapping = lang.load_mapping(spec.get("mapping") or None)
+    mapping = lang.load_mapping(spec.get("mapping"))
     frames, truth = synth.render_gesture_sequence(scene)
 
     truth_stream = recognize_sequence(frames, "oracle", truth.gesture_labels)
@@ -266,7 +264,7 @@ def _run_decode(spec: dict, out: Path) -> dict:
     write_jsonl(out / "tokens.jsonl", stream)
     write_jsonl(out / "instructions.jsonl", decoded)
     return {
-        "scene": scene.to_dict(),
+        "scene": to_json(scene),
         "recognizer": recognizer_name,
         "instructions": report.to_dict(),
         "decoded": [i.to_record() for i in decoded],
@@ -275,9 +273,9 @@ def _run_decode(spec: dict, out: Path) -> dict:
 
 
 def _run_follow(spec: dict, out: Path) -> dict:
-    scene = spec["scene"]
-    config = servo.load_gains(spec.get("gains") or None)
-    rows = servo.FollowScene.from_dict(scene).run(config, out / "follow_log.csv")
+    scene = servo.FollowScene.from_dict(spec["scene"])
+    config = servo.load_gains(spec.get("gains"))
+    rows = scene.run(config, out / "follow_log.csv")
 
     last = rows[-1]
     converged = False
@@ -291,8 +289,8 @@ def _run_follow(spec: dict, out: Path) -> dict:
             {"ex": ex, "ey": ey, "ea": ea, "rel_area_error": rel_area_error}
         )
     return {
-        "scene": scene,
-        "gains": config.to_dict(),
+        "scene": to_json(scene),
+        "gains": to_json(config),
         "converged": converged,
         "steps": len(rows),
         "final": final,

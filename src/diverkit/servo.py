@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .core import BoundingBox, ValidationError, fields, finite, nested, read_fields, read_json
+from .core import BoundingBox, ValidationError, read_fields, read_json, to_json
+from .core import fields, finite, nested  # table helpers, converters
 
 MISS_DECAY = 0.8
 PITCH_LIMIT = math.pi / 3.0
@@ -44,10 +45,6 @@ class Pid:
         self.gains = gains
         self.integral = 0.0
         self.prev_error: float | None = None
-
-    def reset(self) -> None:
-        self.integral = 0.0
-        self.prev_error = None
 
     def step(self, error: float, dt: float) -> float:
         if dt <= 0:
@@ -119,18 +116,7 @@ class ServoConfig:
             raise ValidationError("speed scales must be positive")
 
     def to_dict(self) -> dict:
-        def gains(g: PidGains) -> dict:
-            return {"kp": g.kp, "ki": g.ki, "kd": g.kd}
-
-        return {
-            "yaw": gains(self.yaw),
-            "pitch": gains(self.pitch),
-            "vertical": gains(self.vertical),
-            "forward": gains(self.forward),
-            "target_area_fraction": self.target_area_fraction,
-            "v_max": self.v_max,
-            "omega_max": self.omega_max,
-        }
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ServoConfig":
@@ -163,10 +149,6 @@ class PidBank:
         self.pitch = Pid(self.config.pitch)
         self.vertical = Pid(self.config.vertical)
         self.forward = Pid(self.config.forward)
-
-    def reset(self) -> None:
-        for pid in (self.yaw, self.pitch, self.vertical, self.forward):
-            pid.reset()
 
 
 def bbox_error(

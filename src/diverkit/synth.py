@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Frame, GridConfig, ValidationError, read_fields
+from .core import Frame, GridConfig, ValidationError, read_fields, to_json
 from .core import fields, finite, integer, listof, nested, optional  # table helpers, converters
 from .gesture import GestureClass, hand_class
 
@@ -114,29 +114,7 @@ class DiverSceneSpec:
         return self.flipper.intensity + self.flipper.amplitude * math.sin(phase)
 
     def to_dict(self) -> dict:
-        return {
-            "frames": self.frames,
-            "fps": self.fps,
-            "width": self.width,
-            "height": self.height,
-            "background": self.background,
-            "noise_sigma": self.noise_sigma,
-            "flipper": {
-                "radius": self.flipper.radius,
-                "intensity": self.flipper.intensity,
-                "amplitude": self.flipper.amplitude,
-                "frequency": self.flipper.frequency,
-            },
-            "path": {
-                "kind": self.path.kind,
-                "vx": self.path.vx,
-                "vy": self.path.vy,
-                "amplitude": self.path.amplitude,
-                "period": self.path.period,
-            },
-            "start": list(self.start),
-            "seed": self.seed,
-        }
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "DiverSceneSpec":
@@ -164,14 +142,7 @@ class GroundTruth:
     gesture_labels: list[tuple[str | None, str | None]] | None = None
 
     def to_dict(self) -> dict:
-        out = {}
-        if self.centers is not None:
-            out["centers"] = [[x, y] for x, y in self.centers]
-        if self.windows is not None:
-            out["windows"] = list(self.windows)
-        if self.gesture_labels is not None:
-            out["gesture_labels"] = [[l, r] for l, r in self.gesture_labels]
-        return out
+        return {key: value for key, value in to_json(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GroundTruth":
@@ -342,24 +313,7 @@ class GestureSceneSpec:
         raise ValidationError(f"frame {t} beyond the segment plan")
 
     def to_dict(self) -> dict:
-        return {
-            "segments": [
-                {
-                    "left": seg.left.name if seg.left else None,
-                    "right": seg.right.name if seg.right else None,
-                    "frames": seg.frames,
-                }
-                for seg in self.segments
-            ],
-            "width": self.width,
-            "height": self.height,
-            "fps": self.fps,
-            "skin": list(self.skin),
-            "background": list(self.background),
-            "noise_sigma": self.noise_sigma,
-            "jitter": self.jitter,
-            "seed": self.seed,
-        }
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GestureSceneSpec":

@@ -128,6 +128,14 @@ class TestTrack:
         stdout = capsys.readouterr().out
         assert "Positive detection" in stdout
 
+    def test_stdout_records_are_pure_jsonl_and_summary_goes_to_stderr(self, diver_seq, capsys):
+        assert main(["track", "--seq", str(diver_seq), "--out", "-"]) == 0
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert [r["cycle"] for r in records] == [0, 1, 2]
+        assert captured.err.splitlines()[0] == "cycles: 3"
+        assert "Positive detection" in captured.err
+
     def test_no_truth_no_summary(self, diver_seq, tmp_path, capsys):
         (diver_seq / "truth.json").unlink()
         out = tmp_path / "det.jsonl"

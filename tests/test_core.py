@@ -288,6 +288,15 @@ class TestTrackerConfig:
         path.write_text(__import__("json").dumps(cfg.to_dict()))
         assert load_tracker_config(path) == cfg
 
+    def test_dict_roundtrip_with_odd_window(self):
+        cfg = TrackerConfig(
+            slide=20, pool=4, delta=50.5, epsilon=0.2, intensity_range=(150.0, 250.0),
+            fps=12.0, band=(0.5, 2.5), stride=7, window_w=25, window_h=15, gauss_sigma=0.0,
+        )
+        raw = cfg.to_dict()
+        assert raw["window"] == [25, 15] and raw["T"] == 20 and raw["R"] == [150.0, 250.0]
+        assert TrackerConfig.from_dict(raw) == cfg
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "tracker.json"
         path.write_text('{"TT": 15}')

@@ -219,6 +219,35 @@ class TestRunExperiment:
         assert report["converged"] is True
         assert (tmp_path / "run" / "follow_log.csv").exists()
 
+    def test_follow_report_carries_the_gains_file_clamps(self, tmp_path):
+        gains = tmp_path / "gains.json"
+        gains.write_text(json.dumps({"yaw": {"kp": 0.8, "integral_clamp": 0.5}}))
+        spec = {"kind": "follow", "scene": {"duration_s": 1.0}, "gains": str(gains)}
+        run_experiment(spec, out_dir=tmp_path / "run")
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["gains"]["yaw"] == {
+            "kp": 0.8, "ki": 0.0, "kd": 0.0, "integral_clamp": 0.5, "output_clamp": 1.0
+        }
+        assert report["scene"] == {
+            "offset_x": 0.0, "offset_y": 0.0, "duration_s": 1.0, "fps": 10.0,
+            "distance_ratio": 1.25,
+        }
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "track", "scene": {"frames": 15, "width": 90, "height": 90,
+                                        "start": [45.0, 45.0]}},
+            {"kind": "decode", "scene": {"segments": [{"left": "one", "frames": 2}]}},
+            {"kind": "follow", "scene": {"duration_s": 0.5}},
+        ],
+        ids=["track", "decode", "follow"],
+    )
+    def test_null_tracker_gains_or_mapping_selects_the_default(self, spec, tmp_path):
+        key = {"track": "tracker", "decode": "mapping", "follow": "gains"}[spec["kind"]]
+        default = run_experiment(spec, out_dir=tmp_path / "default")
+        assert run_experiment({**spec, key: None}, out_dir=tmp_path / "null") == default
+
     def test_reports_byte_identical_across_runs(self, tmp_path):
         spec = {
             "kind": "track",

@@ -70,6 +70,17 @@ CASES = {
     "experiment-tracker-number": (
         {"exp.json": {"kind": "track", "scene": {}, "tracker": 7}}, EXPERIMENT
     ),
+    **{  # only a missing key or null selects the packaged default
+        f"experiment-{key}-{name}": (
+            {"exp.json": {"kind": kind, "scene": scene, key: value}}, EXPERIMENT
+        )
+        for key, kind, scene in (
+            ("tracker", "track", {"frames": 15, "width": 90, "height": 90, "start": [45, 45]}),
+            ("mapping", "decode", {"segments": [{"left": "one", "frames": 2}]}),
+            ("gains", "follow", {"duration_s": 0.5}),
+        )
+        for name, value in (("false", False), ("zero", 0), ("empty-string", ""), ("empty-list", []))
+    },
     "experiment-out-number": (  # without --out, so the spec's own "out" is used
         {"exp.json": {"kind": "follow", "scene": {}, "out": 7}}, EXPERIMENT[:3]
     ),
@@ -90,6 +101,7 @@ CASES = {
     "token-frame-string": ({"tokens.jsonl": tokens(dict(TOKEN, frame="a"))}, DECODE),
     "token-line-list": ({"tokens.jsonl": tokens(TOKEN, [1, 2])}, DECODE),
     "token-conf-string": ({"tokens.jsonl": tokens(dict(TOKEN, conf_l="hi"))}, DECODE),
+    "track-config-empty-string": ({}, ["track", "--seq", "{seq}", "--config", ""]),
     "undecodable-track-config": (
         {"tracker.json": UNDECODABLE}, ["track", "--seq", "{seq}", "--config", "{d}/tracker.json"]
     ),

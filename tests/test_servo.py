@@ -205,6 +205,17 @@ class TestGainsConfig:
         path.write_text(json.dumps(config.to_dict()))
         assert load_gains(path) == config
 
+    def test_dict_roundtrip_keeps_custom_clamps(self):
+        config = ServoConfig(
+            yaw=PidGains(kp=0.5, integral_clamp=0.25, output_clamp=0.5),
+            forward=PidGains(kp=1.0, ki=0.2, output_clamp=0.75),
+            v_max=2.0,
+        )
+        raw = config.to_dict()
+        assert raw["yaw"] == {"kp": 0.5, "ki": 0.0, "kd": 0.0, "integral_clamp": 0.25,
+                              "output_clamp": 0.5}
+        assert ServoConfig.from_dict(raw) == config
+
     def test_bad_gains_rejected(self, tmp_path):
         path = tmp_path / "gains.json"
         path.write_text('{"yaw": {"kq": 1.0}}')

@@ -12,6 +12,7 @@ from diverkit.synth import (
     Flipper,
     GestureSceneSpec,
     GestureSegment,
+    GroundTruth,
     PathSpec,
     hand_anchor,
     hand_mask,
@@ -113,6 +114,22 @@ class TestDiverScene:
     def test_spec_dict_roundtrip(self):
         spec = self.spec(path=PathSpec("straight", vx=1.0, vy=0.5), noise_sigma=2.0)
         assert DiverSceneSpec.from_dict(spec.to_dict()) == spec
+
+    def test_sinusoid_spec_dict_roundtrip(self):
+        spec = self.spec(path=PathSpec("sinusoid", amplitude=10.0, period=20.0), seed=4)
+        raw = spec.to_dict()
+        assert raw["path"] == {"kind": "sinusoid", "vx": 0.0, "vy": 0.0, "amplitude": 10.0,
+                               "period": 20.0}
+        assert DiverSceneSpec.from_dict(raw) == spec
+
+    def test_truth_dict_roundtrip(self):
+        _, truth = render_diver_sequence(self.spec(frames=5))
+        raw = truth.to_dict()
+        assert set(raw) == {"centers", "windows"} and raw["centers"][0] == [45.0, 45.0]
+        labels = GroundTruth(gesture_labels=[("one", None), (None, None)])
+        assert labels.to_dict() == {"gesture_labels": [["one", None], [None, None]]}
+        for value in (truth, labels):
+            assert GroundTruth.from_dict(value.to_dict()).to_dict() == value.to_dict()
 
     def test_spec_dict_numbers_are_converted(self):
         raw = dict(self.spec(noise_sigma=2.0).to_dict(), background=60, fps=10)
@@ -252,6 +269,12 @@ class TestGestureScene:
             seed=9,
         )
         assert GestureSceneSpec.from_dict(spec.to_dict()) == spec
+
+    def test_one_hand_spec_dict_roundtrip(self):
+        spec = self.spec(segments=(GestureSegment(None, GestureClass.five, 3),))
+        raw = spec.to_dict()
+        assert raw["segments"] == [{"left": None, "right": "five", "frames": 3}]
+        assert GestureSceneSpec.from_dict(raw) == spec
 
     def test_empty_segments_rejected(self):
         with pytest.raises(ValidationError):
