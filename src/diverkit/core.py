@@ -188,7 +188,8 @@ class TrackerConfig:
     of candidate trajectories kept for frequency inspection, ``delta`` the
     amplitude threshold a candidate must reach inside ``band`` (Hz) to count
     as a detection, and ``intensity_range`` the closed intensity interval that
-    the evidence model treats as flipper-like.
+    the evidence model treats as flipper-like. ``band_range``, derived from
+    ``slide``, ``fps`` and ``band`` and not a field, is the range of in-band bins.
     """
 
     slide: int = 15
@@ -230,15 +231,17 @@ class TrackerConfig:
             raise ValidationError("fps must be positive")
         if self.gauss_sigma < 0:
             raise ValidationError("gauss_sigma must be >= 0")
-        if not band_bin_range(self.slide, self.fps, self.band):
+        band_range = band_bin_range(self.slide, self.fps, self.band)
+        if not band_range:
             raise ValidationError(
                 f"no integer DFT bin of a length-{self.slide} series at "
                 f"{self.fps} fps falls inside the band {self.band}"
             )
+        object.__setattr__(self, "band_range", band_range)  # derived, not a field
 
     def band_bins(self) -> list[int]:
         """Non-DC DFT bins whose center frequency lies inside the band."""
-        return list(band_bin_range(self.slide, self.fps, self.band))
+        return list(self.band_range)
 
     @property
     def window(self) -> tuple[int, int]:

@@ -3,11 +3,14 @@
 numpy plus ``scipy.ndimage``: the Gaussian blur of the gesture path, the blur
 matrix the tracker folds into its evidence projections, one Viterbi table
 update and a direct DFT. All take and return float64 arrays and are
-deterministic.
+deterministic. The Viterbi update reduces its transition matrix down columns,
+so it is fastest with that matrix in Fortran order; C order gives the same
+result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -59,9 +62,13 @@ def viterbi_step(
     ``new_log_mu[j] = log_lik[j] + max_i(log_trans[i, j] + log_mu[i])`` and
     ``backptr[j]`` is the argmax predecessor (ties break to the lowest index).
     Every (i, j) pair is examined, so ``pairs_examined`` is exactly M^2.
+
+    ``log_trans`` is best passed in Fortran order, so that each column's max
+    reads contiguous memory; a C-ordered matrix is accepted and gives the same
+    values and back-pointers, only slower.
     """
     log_mu = np.ascontiguousarray(log_mu, dtype=np.float64)
-    log_trans = np.ascontiguousarray(log_trans, dtype=np.float64)
+    log_trans = np.asarray(log_trans, dtype=np.float64)  # keeps a Fortran layout
     log_lik = np.ascontiguousarray(log_lik, dtype=np.float64)
     m = log_mu.shape[0]
     if log_trans.shape != (m, m) or log_lik.shape != (m,):
@@ -72,6 +79,15 @@ def viterbi_step(
     return new_mu, backptr.astype(np.int64), m * m
 
 
+@functools.lru_cache(maxsize=16)
+def dft_twiddle(size: int) -> np.ndarray:
+    """Read-only (size, size) DFT matrix ``exp(-2j pi t k / size)``."""
+    t = np.arange(size)
+    twiddle = np.exp(-2j * np.pi * np.outer(t, t) / size)
+    twiddle.setflags(write=False)
+    return twiddle
+
+
 def dft_direct(x: np.ndarray) -> tuple[np.ndarray, int]:
     """Direct O(T^2) DFT of a real series; returns ``(spectrum, multiplies)``.
 
@@ -80,6 +96,4 @@ def dft_direct(x: np.ndarray) -> tuple[np.ndarray, int]:
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("dft_direct expects a non-empty 1-D series")
-    t = np.arange(x.size)
-    twiddle = np.exp(-2j * np.pi * np.outer(t, t) / x.size)
-    return twiddle @ x.astype(np.complex128), x.size * x.size
+    return dft_twiddle(x.size) @ x.astype(np.complex128), x.size * x.size

@@ -51,8 +51,8 @@ def write_pnm(path: str | Path, pixels: np.ndarray) -> None:
 def read_pnm(path: str | Path) -> np.ndarray:
     """Read a binary PGM/PPM file into a read-only uint8 (h, w) or (h, w, 3) array.
 
-    The array is a view of the file's bytes, with no float copy; :class:`Frame`
-    converts it to float64 once.
+    The pixel data must end the file. The array is a view of the file's bytes,
+    with no float copy; :class:`Frame` converts it to float64 once.
     """
     data = Path(path).read_bytes()
     m = _HEADER.match(data)
@@ -63,8 +63,11 @@ def read_pnm(path: str | Path) -> np.ndarray:
         raise CorruptFrameError(f"{path}: unsupported maxval {maxval}")
     channels = 1 if magic == b"P5" else 3
     expected = w * h * channels
-    if len(data) - m.end() < expected:
+    payload = len(data) - m.end()
+    if payload < expected:
         raise CorruptFrameError(f"{path}: truncated pixel data")
+    if payload > expected:
+        raise CorruptFrameError(f"{path}: {payload - expected} bytes after the pixel data")
     arr = np.frombuffer(data, dtype=np.uint8, count=expected, offset=m.end())
     if channels == 1:
         return arr.reshape(h, w)

@@ -76,13 +76,19 @@ def evidence_prior_vec(evidence: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
 
 
 def transition_log_matrix(grid: GridConfig) -> np.ndarray:
-    """Log transition matrix; row i is the normalized distribution over j."""
+    """Read-only log transition matrix; row i is the normalized distribution over j.
+
+    Stored in Fortran order: :func:`kernels.viterbi_step` maximizes down each
+    column j, and that reads contiguous memory.
+    """
     m = grid.num_windows
     centers = np.array([window_center(grid, i) for i in range(m)])
     diff = centers[:, None, :] - centers[None, :, :]
     raw = 1.0 / (1.0 + np.sqrt((diff**2).sum(axis=2)))
     probs = raw / raw.sum(axis=1, keepdims=True)
-    return np.log(probs)
+    log_trans = np.asfortranarray(np.log(probs))
+    log_trans.setflags(write=False)
+    return log_trans
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +185,8 @@ def band_score(spectrum: np.ndarray, cfg: TrackerConfig) -> float:
     """Maximum amplitude over the in-band integer bins (DC never included)."""
     if spectrum.shape[0] != cfg.slide:
         raise ValidationError("spectrum length disagrees with the slide size")
-    bins = cfg.band_bins()
-    return float(np.abs(spectrum[bins]).max())
+    bins = cfg.band_range
+    return float(np.abs(spectrum[bins.start : bins.stop]).max())
 
 
 # ---------------------------------------------------------------------------

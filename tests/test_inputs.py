@@ -31,6 +31,7 @@ from diverkit.synth import DiverSceneSpec, GestureSceneSpec, GestureSegment, Gro
 from test_cli import DIVER_SPEC, run_cli
 
 UNDECODABLE = b'{"seed": "\xff"}'
+BLACK_PGM = b"P5\n90 60\n255\n" + bytes(90 * 60)  # six 30x30 windows
 TOKEN = {"frame": 0, "left": "zero", "right": "zero", "conf_l": 1.0, "conf_r": 1.0}
 
 
@@ -117,6 +118,12 @@ CASES = {
     "deeply-nested-token-line": ({"tokens.jsonl": "[" * 100_000}, DECODE),
     "deeply-nested-manifest": ({"seq/manifest.json": "[" * 100_000}, ["track", "--seq", "{d}/seq"]),
     "track-missing-seq-dir": ({}, ["track", "--seq", "{d}/nowhere"]),
+    "track-pgm-trailing-bytes": (  # pixel data must end the file
+        {"seq/manifest.json": {"fps": 10.0, "width": 90, "height": 60, "channels": 1,
+                               "frame_count": 15},
+         **{f"seq/frame_{i:06d}.pgm": BLACK_PGM + (b"junk" if i == 14 else b"") for i in range(15)}},
+        ["track", "--seq", "{d}/seq"],
+    ),
     "decode-oracle-missing-seq-dir": ({}, ["decode", "--seq", "{d}/nowhere"]),
     "decode-shape-missing-seq-dir": (
         {}, ["decode", "--seq", "{d}/nowhere", "--recognizer", "shape"]
@@ -176,7 +183,8 @@ def test_malformed_input_exits_with_one_error_line(case, tmp_path, diver_seq, ca
 
 
 @pytest.mark.parametrize(
-    "case, code", [("experiment-unknown-key", 1), ("track-missing-seq-dir", 2)]
+    "case, code",
+    [("experiment-unknown-key", 1), ("track-missing-seq-dir", 2), ("track-pgm-trailing-bytes", 2)],
 )
 def test_exit_code_tells_validation_from_io(case, code, tmp_path, diver_seq, capsys):
     assert main(case_argv(case, tmp_path, diver_seq)) == code
@@ -299,12 +307,14 @@ scalars = (
     | st.sampled_from(WORDS)
     | st.text(max_size=6)
 )
-json_values = st.recursive(
-    scalars,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=4), inner, max_size=5),
-    max_leaves=6,
-)
+# Lists and objects nested up to three deep, built level by level: st.recursive
+# would re-read this file by line number to check that its extend function
+# recurses, and warn when the file changed on disk after the import.
+json_values = scalars
+for _ in range(3):
+    json_values = scalars | st.lists(json_values, max_size=4) | st.dictionaries(
+        st.sampled_from(KEYS) | st.text(max_size=4), json_values, max_size=5
+    )
 json_objects = st.dictionaries(st.sampled_from(KEYS), json_values, max_size=6)
 
 # one valid input per loader, to be damaged at any depth

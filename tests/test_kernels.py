@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from diverkit import kernels
 
@@ -59,11 +62,42 @@ def test_viterbi_tie_breaks_to_lowest_index():
     assert (bp == 0).all()
 
 
+# values on a 0.5 grid, so equal sums and argmax ties are common
+halves = st.integers(-8, 8).map(lambda k: k / 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda m: st.tuples(*(hnp.arrays(np.float64, shape, elements=halves)
+                          for shape in ((m,), (m, m), (m,))))
+))
+def test_viterbi_step_same_on_c_and_fortran_order(tables):
+    mu, trans, lik = tables
+    c_mu, c_bp, c_pairs = kernels.viterbi_step(mu, np.ascontiguousarray(trans), lik)
+    f_mu, f_bp, f_pairs = kernels.viterbi_step(mu, np.asfortranarray(trans), lik)
+    assert np.array_equal(c_mu, f_mu) and np.array_equal(c_bp, f_bp)
+    assert c_pairs == f_pairs == mu.size**2
+
+
+def test_twiddle_cached_and_read_only():
+    twiddle = kernels.dft_twiddle(15)
+    assert kernels.dft_twiddle(15) is twiddle
+    with pytest.raises(ValueError):
+        twiddle[1, 1] = 0.0
+
+
 def test_dft_matches_numpy_fft():
+    # the cached twiddle gives the freshly built product bit for bit, for every
+    # length in one process; 21 comes twice, the second time from the cache
     rng = np.random.default_rng(6)
-    x = rng.normal(size=21)
-    spec, _ = kernels.dft_direct(x)
-    assert np.allclose(spec, np.fft.fft(x), atol=1e-9)
+    for size in (21, 1, 2, 5, 15, 16, 21):
+        x = rng.normal(size=size)
+        t = np.arange(size)
+        fresh = np.exp(-2j * np.pi * np.outer(t, t) / size)
+        spec, mults = kernels.dft_direct(x)
+        assert np.array_equal(spec, fresh @ x.astype(np.complex128))
+        assert np.allclose(spec, np.fft.fft(x), atol=1e-9)
+        assert mults == size * size
 
 
 def test_dft_rejects_empty():

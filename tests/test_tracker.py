@@ -198,6 +198,12 @@ class TestTransitions:
         probs = np.exp(transition_log_matrix(grid))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_matrix_is_fortran_ordered_and_read_only(self):
+        mat = transition_log_matrix(GridConfig(90, 60))
+        assert mat.flags.f_contiguous and not mat.flags.c_contiguous
+        with pytest.raises(ValueError):
+            mat[0, 1] = 0.0
+
     def test_matrix_matches_pairwise(self):
         grid = GridConfig(60, 60)
         mat = transition_log_matrix(grid)
