@@ -67,10 +67,6 @@ class Frame:
     def channels(self) -> int:
         return 1 if self.pixels.ndim == 2 else 3
 
-    @property
-    def timestamp_s(self) -> float:
-        return self.index / self.fps
-
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -146,13 +142,6 @@ class BoundingBox:
     @property
     def area(self) -> float:
         return self.w * self.h
-
-    def clamped(self, frame_w: int, frame_h: int) -> "BoundingBox":
-        """Shift the center so the box lies within the frame."""
-        hw, hh = self.w / 2.0, self.h / 2.0
-        cx = min(max(self.cx, hw), frame_w - hw)
-        cy = min(max(self.cy, hh), frame_h - hh)
-        return BoundingBox(cx, cy, self.w, self.h, self.score)
 
 
 def band_bin_range(slide: int, fps: float, band: tuple[float, float]) -> range:

@@ -158,21 +158,30 @@ class Region:
 
 
 def _hull_pixel_count(xs: np.ndarray, ys: np.ndarray) -> int:
-    """Pixels of the bounding box whose centers lie inside the convex hull."""
-    pts = np.column_stack([xs, ys]).astype(np.float64)
+    """Lattice points on or inside the convex hull of a row-major pixel set.
+
+    ``xs, ys`` must be in row-major order, as ``np.nonzero`` returns them. The
+    hull of the pixels is the hull of each row's first and last pixel, and its
+    vertices are pixels, so Pick's theorem gives the count exactly from twice
+    the area (integer shoelace) and the boundary points (gcd of each edge).
+    """
+    first = np.flatnonzero(np.diff(ys, prepend=ys[0] - 1))
+    last = np.append(first[1:], len(ys)) - 1
+    idx = np.concatenate([first, last])
+    ends = np.column_stack([xs[idx], ys[idx]])
     try:
-        hull = ConvexHull(pts)
+        hull = ConvexHull(ends)
     except QhullError:
-        return len(xs)  # degenerate (collinear) region
-    gx = np.arange(xs.min(), xs.max() + 1.0)  # pixel-center columns
-    gy = np.arange(ys.min(), ys.max() + 1.0)[:, None]  # and rows
-    a, b, c = hull.equations.T[..., None, None]  # per edge: inside where a*x + b*y + c <= 0
-    inside = (a * gx + b * gy + c <= 1e-9).all(axis=0)
-    return int(inside.sum())
+        return len(xs)  # degenerate: one pixel, one row or a collinear region
+    x, y = ends[hull.vertices].T
+    dx, dy = np.roll(x, -1) - x, np.roll(y, -1) - y
+    twice_area = abs(int(np.sum(x * dy - y * dx)))
+    boundary = int(np.gcd(dx, dy).sum())
+    return (twice_area + boundary) // 2 + 1
 
 
 def shape_descriptor(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """(extent, eccentricity, solidity) of a pixel set."""
+    """(extent, eccentricity, solidity) of a row-major pixel set (as from ``np.nonzero``)."""
     area = len(xs)
     bw = xs.max() - xs.min() + 1
     bh = ys.max() - ys.min() + 1
@@ -187,7 +196,7 @@ def shape_descriptor(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     lam2 = max(half_tr - det_root, 0.0)
     ecc = math.sqrt(1.0 - lam2 / lam1) if lam1 > 0 else 0.0
 
-    solidity = min(area / max(_hull_pixel_count(xs, ys), 1), 1.0)
+    solidity = area / _hull_pixel_count(xs, ys)
     return np.array([extent, ecc, solidity])
 
 

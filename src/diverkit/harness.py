@@ -140,14 +140,6 @@ class InstructionReport:
             return 100.0
         return 100.0 * self.correct_tokens / self.total_tokens
 
-    def render_row(self) -> str:
-        """'total (gestures)' and 'accuracy (accuracy)' in table form."""
-        return (
-            f"{self.total_instructions} ({self.total_tokens}) -> "
-            f"{self.correct_instructions} ({self.correct_tokens}), "
-            f"accuracy {self.instruction_accuracy():.1f} ({self.token_accuracy():.1f})"
-        )
-
     def to_dict(self) -> dict:
         return {
             "total_instructions": self.total_instructions,
@@ -166,19 +158,11 @@ def score_instructions(
     expected_events: list[tuple[int, lang.Token]],
 ) -> InstructionReport:
     """Exact in-order AST comparison plus debounced token-event accuracy."""
-    correct_instructions = sum(
-        1 for d, e in zip(decoded, expected) if d == e
-    )
-    correct_tokens = sum(
-        1
-        for (_, d), (_, e) in zip(recognized_events, expected_events)
-        if d == e
-    )
     return InstructionReport(
         total_instructions=len(expected),
-        correct_instructions=min(correct_instructions, len(expected)),
+        correct_instructions=sum(d == e for d, e in zip(decoded, expected)),
         total_tokens=len(expected_events),
-        correct_tokens=min(correct_tokens, len(expected_events)),
+        correct_tokens=sum(d == e for (_, d), (_, e) in zip(recognized_events, expected_events)),
     )
 
 

@@ -127,6 +127,11 @@ def read_manifest(directory: str | Path) -> dict:
     for key in ("width", "height", "channels", "frame_count"):
         if type(manifest[key]) is not int:
             raise ValidationError(f"{path}: manifest {key!r} must be an integer")
+    for key in ("width", "height", "frame_count"):
+        if manifest[key] < 1:
+            raise ValidationError(f"{path}: manifest {key!r} must be at least 1")
+    if manifest["channels"] not in (1, 3):
+        raise ValidationError(f"{path}: manifest 'channels' must be 1 or 3")
     fps = manifest["fps"]
     if not (type(fps) is int or (type(fps) is float and math.isfinite(fps))):
         raise ValidationError(f"{path}: manifest 'fps' must be a finite number")

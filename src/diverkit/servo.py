@@ -34,8 +34,10 @@ class PidGains:
     output_clamp: float = 1.0
 
     def __post_init__(self):
-        if self.integral_clamp <= 0 or self.output_clamp <= 0:
-            raise ValidationError("PID clamps must be positive")
+        if self.integral_clamp <= 0:
+            raise ValidationError("PID integral_clamp must be positive")
+        if not 0 < self.output_clamp <= 1:  # commands are normalized to [-1, 1]
+            raise ValidationError("PID output_clamp must lie in (0, 1]")
 
 
 class Pid:

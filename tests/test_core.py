@@ -104,10 +104,6 @@ class TestFrame:
         with pytest.raises(ValidationError, match="fps"):
             Frame(np.zeros((2, 2)), fps=fps)
 
-    def test_timestamp_is_index_over_fps(self):
-        f = Frame(np.zeros((2, 2)), index=25, fps=10.0)
-        assert f.timestamp_s == pytest.approx(2.5)
-
     def test_pixels_are_read_only(self):
         f = Frame(np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -222,10 +218,6 @@ class TestBoundingBox:
     def test_positive_size_required(self):
         with pytest.raises(ValidationError):
             BoundingBox(0, 0, 0, 10)
-
-    def test_clamped_stays_in_frame(self):
-        box = BoundingBox(5, 5, 30, 30).clamped(320, 240)
-        assert box.cx == 15 and box.cy == 15
 
 
 class TestTrackerConfig:

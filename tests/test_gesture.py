@@ -252,6 +252,25 @@ class TestHullPixelCount:
         xs, ys = component
         assert gesture._hull_pixel_count(xs, ys) == hull_lattice_count(xs, ys)
 
+    @pytest.mark.parametrize("cls", list(GestureClass))
+    def test_matches_on_hand_silhouettes(self, cls):
+        ys, xs = np.nonzero(synth.hand_mask(cls))
+        assert gesture._hull_pixel_count(xs, ys) == hull_lattice_count(xs, ys)
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([7], [3]),  # single pixel
+            ([2, 3, 4, 5, 6], [4] * 5),  # one row
+            ([5] * 6, [0, 1, 2, 3, 4, 5]),  # one column
+            ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4]),  # diagonal line
+        ],
+        ids=["pixel", "row", "column", "diagonal"],
+    )
+    def test_matches_on_degenerate_regions(self, xs, ys):
+        xs, ys = np.array(xs), np.array(ys)
+        assert gesture._hull_pixel_count(xs, ys) == hull_lattice_count(xs, ys) == len(xs)
+
 
 class TestRejectOutliers:
     def _region(self, cx, cy, r=20):

@@ -143,13 +143,6 @@ class TestScoreInstructions:
         assert report.correct_instructions == 1
         assert report.total_instructions == 2
 
-    def test_render_row_shape(self):
-        report = InstructionReport(30, 29, 162, 152)
-        row = report.render_row()
-        # 29/30 = 96.7%, 152/162 = 93.8%, rendered as 'a (b)' like the
-        # instructions-(gestures) table columns
-        assert row == "30 (162) -> 29 (152), accuracy 96.7 (93.8)"
-
     def test_correct_cannot_exceed_total(self):
         with pytest.raises(ValidationError):
             InstructionReport(2, 3, 0, 0)

@@ -94,6 +94,9 @@ CASES = {
     "gains-string-kp": ({"gains.json": {"yaw": {"kp": "x"}}}, GAINS),
     "gains-unknown-key": ({"gains.json": {"roll": {"kp": 1.0}}}, GAINS),
     "gains-list": ({"gains.json": [1]}, GAINS),
+    "gains-output-clamp-above-one": (  # commands are normalized to [-1, 1]
+        {"gains.json": {"yaw": {"kp": 5.0, "output_clamp": 2.0}}}, GAINS
+    ),
     "mapping-token-number": (
         {"mapping.json": {"pairs": [{"left": "zero", "right": "zero", "token": 7}]},
          "tokens.jsonl": tokens(TOKEN)},
@@ -189,6 +192,14 @@ def test_malformed_input_exits_with_one_error_line(case, tmp_path, diver_seq, ca
 def test_exit_code_tells_validation_from_io(case, code, tmp_path, diver_seq, capsys):
     assert main(case_argv(case, tmp_path, diver_seq)) == code
     assert capsys.readouterr().err.startswith("error:" if code == 1 else "I/O error:")
+
+
+@pytest.mark.parametrize("case, key", [("gains-output-clamp-above-one", "output_clamp")])
+def test_error_line_names_the_key(case, key, tmp_path, diver_seq, capsys):
+    assert main(case_argv(case, tmp_path, diver_seq)) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert key in err
 
 
 @pytest.mark.parametrize("recognizer", ["oracle", "shape"])

@@ -114,6 +114,12 @@ def test_corrupt_manifest_raises(tmp_path, text):
         ("width", "8"),
         ("frame_count", 1.0),
         ("channels", True),
+        ("frame_count", -3),
+        ("frame_count", 0),
+        ("width", -320),
+        ("height", 0),
+        ("channels", 2),
+        ("channels", 0),
         ("fps", "10"),
         ("fps", True),
         ("fps", float("inf")),
