@@ -1,7 +1,9 @@
 """Shared domain types: frames, the window grid, and tracker configuration.
 
-A frame is a float64 raster with intensities in [0, 255], built from uint8
-pixels (as read from disk) or from any array whose values pass the range check.
+A frame is a raster with intensities in [0, 255]. RGB frames built from uint8
+pixels (as read from disk or rendered) keep them as uint8; gray frames and
+every other input are widened to float64, after a range check for non-uint8
+input. :func:`quantize` is the one rule that rounds intensities to uint8.
 The grid chops a frame into equal non-overlapping windows; pixels in the
 right/bottom margin left over by the flooring are not part of any window.
 
@@ -39,7 +41,9 @@ class Frame:
 
     def __post_init__(self):
         raw = np.asarray(self.pixels)
-        arr = np.ascontiguousarray(raw, dtype=np.float64)
+        # RGB bytes stay bytes; gray widens, as the tracker's projections need float64
+        rgb_bytes = raw.dtype == np.uint8 and raw.ndim == 3 and raw.shape[2] == 3
+        arr = np.ascontiguousarray(raw, dtype=np.uint8 if rgb_bytes else np.float64)
         if arr.ndim == 3 and arr.shape[2] == 1:
             arr = arr[:, :, 0]
         if arr.ndim not in (2, 3) or (arr.ndim == 3 and arr.shape[2] != 3):
@@ -382,8 +386,13 @@ def grid_for(cfg: TrackerConfig, frame_w: int, frame_h: int) -> GridConfig:
     return grid
 
 
+def quantize(x: np.ndarray) -> np.ndarray:
+    """Intensities rounded half-up and clipped to [0, 255], as uint8."""
+    return np.clip(np.floor(x + 0.5), 0, 255).astype(np.uint8)
+
+
 def luminance(frame: Frame) -> Frame:
-    """RGB to gray via 0.299R + 0.587G + 0.114B, rounded half-up.
+    """RGB to gray via 0.299R + 0.587G + 0.114B, quantized.
 
     Gray input passes through unchanged.
     """
@@ -391,8 +400,7 @@ def luminance(frame: Frame) -> Frame:
         return frame
     rgb = frame.pixels
     gray = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
-    gray = np.clip(np.floor(gray + 0.5), 0.0, 255.0)
-    return Frame(gray, index=frame.index, fps=frame.fps)
+    return Frame(quantize(gray), index=frame.index, fps=frame.fps)
 
 
 @dataclass(frozen=True)

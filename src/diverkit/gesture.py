@@ -9,8 +9,8 @@ template bank. The descriptor is ``(extent, eccentricity, solidity)``, all in
 The skin threshold keeps each blurred channel as its own plane. V and S come
 from plane-wise max/min over the whole frame; hue, the costly part, is
 computed only for the pixels whose S and V already lie inside the range, with
-the same per-pixel expressions as :func:`rgb_to_hsv`, so the mask equals a
-threshold of the full HSV image bit for bit.
+the same per-pixel expressions as a whole-image conversion, so the mask equals
+a threshold of the full HSV image bit for bit.
 
 Recognizers are pluggable callables ``(frame, frame_index) -> GesturePairToken``
 so a learned detector can replace the shape pipeline later. Two ship here:
@@ -116,20 +116,12 @@ def _hue(r, g, b, maxc, span):
     return h * 60.0
 
 
-def rgb_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized RGB [0,255] to (H degrees, S, V) with S, V in [0, 1]."""
-    arr = np.asarray(rgb, dtype=np.float64) / 255.0
-    r, g, b = arr[..., 0], arr[..., 1], arr[..., 2]
-    v, s, span = _value_saturation(r, g, b)
-    return _hue(r, g, b, v, span), s, v
-
-
 def segment_skin(frame: Frame, hsv_range: HsvRange, sigma: float = 1.0) -> np.ndarray:
     """Blur then threshold an RGB frame in HSV space; returns a bool mask.
 
-    The mask equals ``hsv_range.contains(*rgb_to_hsv(blurred))`` bit for bit,
-    but works on the three blurred channel planes and computes hue only for
-    the pixels whose S and V already lie inside the range.
+    The mask equals a threshold of the whole blurred image's (H, S, V) bit for
+    bit, but works on the three blurred channel planes and computes hue only
+    for the pixels whose S and V already lie inside the range.
     """
     if frame.channels != 3:
         raise TypeError("segment_skin needs an RGB frame")

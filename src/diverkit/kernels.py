@@ -2,10 +2,11 @@
 
 numpy plus ``scipy.ndimage``: the Gaussian blur of the gesture path, the blur
 matrix the tracker folds into its evidence projections, one Viterbi table
-update and a direct DFT. All take and return float64 arrays and are
-deterministic. The Viterbi update reduces its transition matrix down columns,
-so it is fastest with that matrix in Fortran order; C order gives the same
-result.
+update and a direct DFT. All return float64 arrays and are deterministic.
+Frames store RGB as uint8 and gray as float64, so the blur takes the uint8
+channel planes of an RGB frame as they are; the other kernels take float64.
+The Viterbi update reduces its transition matrix down columns, so it is
+fastest with that matrix in Fortran order; C order gives the same result.
 """
 
 from __future__ import annotations
@@ -34,12 +35,16 @@ def _checked_sigma(sigma: float) -> float:
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Blur a 2-D image with a separable Gaussian (symmetric boundary).
 
-    Taps end ``TRUNCATE`` sigmas from the center; sigma 0 returns a copy.
+    ``img`` may be any real dtype; the result is float64 and equals the blur
+    of ``img`` widened to float64. Taps end ``TRUNCATE`` sigmas from the
+    center; sigma 0 returns a float64 copy.
     """
-    img = np.ascontiguousarray(img, dtype=np.float64)  # a strided channel plane blurs slower
+    img = np.ascontiguousarray(img)  # a strided channel plane blurs slower
     if img.ndim != 2:
         raise ValueError("gaussian_blur expects a 2-D array")
-    return ndimage.gaussian_filter(img, _checked_sigma(sigma), mode="reflect", truncate=TRUNCATE)
+    return ndimage.gaussian_filter(
+        img, _checked_sigma(sigma), output=np.float64, mode="reflect", truncate=TRUNCATE
+    )
 
 
 def blur_matrix(n: int, sigma: float) -> np.ndarray:

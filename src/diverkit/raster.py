@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Frame, ValidationError, read_json
+from .core import Frame, ValidationError, quantize, read_json
 
 
 class CorruptFrameError(OSError):
@@ -35,7 +35,7 @@ def write_pnm(path: str | Path, pixels: np.ndarray) -> None:
     """Write a gray (h, w) or RGB (h, w, 3) array as binary PGM/PPM."""
     arr = np.asarray(pixels)
     if arr.dtype != np.uint8:
-        arr = np.clip(np.floor(arr + 0.5), 0, 255).astype(np.uint8)
+        arr = quantize(arr)
     if arr.ndim == 2:
         magic = b"P5"
     elif arr.ndim == 3 and arr.shape[2] == 3:
@@ -52,7 +52,8 @@ def read_pnm(path: str | Path) -> np.ndarray:
     """Read a binary PGM/PPM file into a read-only uint8 (h, w) or (h, w, 3) array.
 
     The pixel data must end the file. The array is a view of the file's bytes,
-    with no float copy; :class:`Frame` converts it to float64 once.
+    with no copy; :class:`Frame` keeps an RGB array as it is and widens a gray
+    one to float64 once.
     """
     data = Path(path).read_bytes()
     m = _HEADER.match(data)
@@ -135,6 +136,8 @@ def read_manifest(directory: str | Path) -> dict:
     fps = manifest["fps"]
     if not (type(fps) is int or (type(fps) is float and math.isfinite(fps))):
         raise ValidationError(f"{path}: manifest 'fps' must be a finite number")
+    if fps <= 0:
+        raise ValidationError(f"{path}: manifest 'fps' must be positive")
     return manifest
 
 

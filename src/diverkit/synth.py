@@ -6,6 +6,8 @@ frequency while its center follows a configurable path. Gesture scenes are
 RGB sequences with two canonical hand silhouettes in skin color, one per half
 of the frame.
 
+Every frame is quantized to whole intensities the way ``raster.write_pnm``
+writes it, so a render and its sequence files hold the same pixels.
 Everything is a pure function of (spec, seed): identical specs render
 bit-identical sequences.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Frame, GridConfig, ValidationError, read_fields, to_json
+from .core import Frame, GridConfig, ValidationError, quantize, read_fields, to_json
 from .core import fields, finite, integer, listof, nested, optional  # table helpers, converters
 from .gesture import GestureClass, hand_class
 
@@ -180,7 +182,7 @@ def render_diver_sequence(
         )
         if spec.noise_sigma > 0:
             img += rng.normal(0.0, spec.noise_sigma, img.shape)
-        frames.append(Frame(np.clip(img, 0.0, 255.0), index=t, fps=spec.fps))
+        frames.append(Frame(quantize(img), index=t, fps=spec.fps))
         centers.append((cx, cy))
         windows.append(grid.window_index_at(cx, cy))
     return frames, GroundTruth(centers=centers, windows=windows)
@@ -363,6 +365,6 @@ def render_gesture_sequence(
             region[mask] = spec.skin
         if spec.noise_sigma > 0:
             img += rng.normal(0.0, spec.noise_sigma, img.shape)
-        frames.append(Frame(np.clip(img, 0.0, 255.0), index=t, fps=spec.fps))
+        frames.append(Frame(quantize(img), index=t, fps=spec.fps))
         labels.append((left_name, right_name))
     return frames, GroundTruth(gesture_labels=labels)

@@ -290,19 +290,10 @@ class TestDecode:
         assert code == 1 and not out.exists()
 
 
-# noiseless, with a still flipper of whole intensities: the frames survive the PGM round trip
-EXACT_DIVER_SPEC = dict(
-    DIVER_SPEC,
-    noise_sigma=0.0,
-    flipper=dict(DIVER_SPEC["flipper"], amplitude=0.0),
-    path={"kind": "sinusoid", "amplitude": 20.0, "period": 6.0},
-)
-
-
 @pytest.mark.parametrize(
     "synth_kind, experiment, scene, command, records",
     [
-        ("diver", {"kind": "track"}, EXACT_DIVER_SPEC, ["track"], "detections.jsonl"),
+        ("diver", {"kind": "track"}, DIVER_SPEC, ["track"], "detections.jsonl"),
         (
             "gesture",
             {"kind": "decode", "recognizer": "shape"},

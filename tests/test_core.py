@@ -99,6 +99,16 @@ class TestFrame:
         rgb = np.stack([values, values[::-1], values.T], axis=2)
         assert (Frame(rgb).pixels == Frame(rgb.astype(np.float64)).pixels).all()
 
+    def test_rgb_uint8_input_stays_uint8(self):
+        rng = np.random.default_rng(8)
+        rgb = rng.integers(0, 256, (7, 9, 3), dtype=np.uint8)
+        frame = Frame(rgb[:, ::-1])  # a strided view comes out contiguous
+        twin = Frame(rgb[:, ::-1].astype(np.float64))
+        assert frame.pixels.dtype == np.uint8 and twin.pixels.dtype == np.float64
+        assert frame.pixels.flags.c_contiguous and not frame.pixels.flags.writeable
+        assert np.array_equal(frame.pixels, twin.pixels)
+        assert frame.channels == 3
+
     @pytest.mark.parametrize("fps", [0.0, -10.0, math.nan, math.inf, -math.inf])
     def test_rejects_non_positive_or_non_finite_fps(self, fps):
         with pytest.raises(ValidationError, match="fps"):
@@ -171,6 +181,14 @@ class TestLuminance:
     def test_gray_passthrough(self):
         f = Frame(np.full((2, 2), 12.0))
         assert luminance(f) is f
+
+    def test_rgb_uint8_equals_float_twin(self):
+        rng = np.random.default_rng(9)
+        rgb = rng.integers(0, 256, (11, 13, 3), dtype=np.uint8)
+        rgb[0, :3] = [[255, 255, 255], [0, 0, 0], [255, 0, 0]]
+        gray = luminance(Frame(rgb)).pixels
+        assert gray.dtype == np.float64
+        assert np.array_equal(gray, luminance(Frame(rgb.astype(np.float64))).pixels)
 
 
 class TestWindowIntensity:

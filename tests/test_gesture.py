@@ -25,7 +25,6 @@ from diverkit.gesture import (
     recognize_pair,
     region_from_pixels,
     reject_outliers,
-    rgb_to_hsv,
     segment_skin,
 )
 
@@ -41,6 +40,18 @@ def solid_frame(color, w=320, h=240):
 def disk_mask(h, w, cx, cy, r):
     ys, xs = np.ogrid[:h, :w]
     return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
+
+
+def rgb_to_hsv(rgb):
+    """Oracle: RGB [0, 255] to (H degrees, S, V) of a whole image, S and V in [0, 1].
+
+    It runs the per-pixel expressions of ``segment_skin`` on every pixel, so a
+    threshold of its output is the mask ``segment_skin`` must give bit for bit.
+    """
+    arr = np.asarray(rgb, dtype=np.float64) / 255.0
+    r, g, b = arr[..., 0], arr[..., 1], arr[..., 2]
+    v, s, span = gesture._value_saturation(r, g, b)
+    return gesture._hue(r, g, b, v, span), s, v
 
 
 class TestHsv:
@@ -112,8 +123,8 @@ def skin_cases(draw):
     """A frame, a blur sigma and an HSV range whose edges often sit on pixel values."""
     h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        pixels = rng.integers(0, 256, (h, w, 3)).astype(np.float64)
+    if draw(st.booleans()):  # bytes, as rendered or read from a PPM
+        pixels = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
     else:
         pixels = rng.uniform(0.0, 255.0, (h, w, 3))
     # per-pixel odds of (kept, gray with span 0, black with maxc 0)

@@ -11,6 +11,7 @@ from diverkit.core import (
     TrackerConfig,
     ValidationError,
 )
+from diverkit.gesture import GestureClass, recognize_sequence
 from diverkit.harness import (
     DetectionReport,
     InstructionReport,
@@ -19,6 +20,8 @@ from diverkit.harness import (
     score_instructions,
 )
 from diverkit.lang import Snapshot, TaskSwitch, Token
+from diverkit.raster import iter_sequence, write_sequence
+from diverkit.tracker import track_sequence
 
 
 def fake_result(cycle, window, score, detected, grid):
@@ -258,6 +261,50 @@ class TestRunExperiment:
         assert (tmp_path / "a" / "report.json").read_bytes() == (
             tmp_path / "b" / "report.json"
         ).read_bytes()
+
+
+class TestExperimentEqualsDiskPipeline:
+    """A render reads back from its sequence files unchanged, so an experiment
+    reports what ``synth`` followed by ``track`` or ``decode --seq`` reports."""
+
+    @staticmethod
+    def round_trip(frames, directory):
+        write_sequence(directory, frames)
+        back = list(iter_sequence(directory))
+        assert len(back) == len(frames)
+        for a, b in zip(frames, back):
+            assert a.pixels.dtype == b.pixels.dtype and np.array_equal(a.pixels, b.pixels)
+        return back
+
+    def test_diver_scene(self, tmp_path):
+        scene = synth.DiverSceneSpec(
+            frames=30, width=90, height=90, background=160.0, noise_sigma=5.0,
+            path=synth.PathSpec("straight", vx=0.5, vy=0.3), start=(40.0, 40.0), seed=3,
+        )
+        frames, _ = synth.render_diver_sequence(scene)
+        back = self.round_trip(frames, tmp_path / "seq")
+        cfg = TrackerConfig()
+
+        def records(seq):
+            return [r.to_record() for r in track_sequence(seq, cfg)]
+
+        assert records(frames) == records(back)
+
+    def test_noisy_gesture_scene(self, tmp_path):
+        scene = synth.GestureSceneSpec(
+            segments=(
+                synth.GestureSegment(GestureClass.five, GestureClass.ok, 3),
+                synth.GestureSegment(None, GestureClass.two, 2),
+            ),
+            noise_sigma=10.0, jitter=3, seed=5,
+        )
+        frames, truth = synth.render_gesture_sequence(scene)
+        back = self.round_trip(frames, tmp_path / "seq")
+
+        def tokens(seq):
+            return recognize_sequence(seq, "shape", truth.gesture_labels)
+
+        assert tokens(frames) == tokens(back)
 
 
 class TestBundledSpecs:

@@ -127,6 +127,12 @@ CASES = {
          **{f"seq/frame_{i:06d}.pgm": BLACK_PGM + (b"junk" if i == 14 else b"") for i in range(15)}},
         ["track", "--seq", "{d}/seq"],
     ),
+    "track-manifest-fps-zero": (
+        {"seq/manifest.json": {"fps": 0, "width": 90, "height": 60, "channels": 1,
+                               "frame_count": 15},
+         **{f"seq/frame_{i:06d}.pgm": BLACK_PGM for i in range(15)}},
+        ["track", "--seq", "{d}/seq"],
+    ),
     "decode-oracle-missing-seq-dir": ({}, ["decode", "--seq", "{d}/nowhere"]),
     "decode-shape-missing-seq-dir": (
         {}, ["decode", "--seq", "{d}/nowhere", "--recognizer", "shape"]
@@ -187,14 +193,22 @@ def test_malformed_input_exits_with_one_error_line(case, tmp_path, diver_seq, ca
 
 @pytest.mark.parametrize(
     "case, code",
-    [("experiment-unknown-key", 1), ("track-missing-seq-dir", 2), ("track-pgm-trailing-bytes", 2)],
+    [
+        ("experiment-unknown-key", 1),
+        ("track-missing-seq-dir", 2),
+        ("track-pgm-trailing-bytes", 2),
+        ("track-manifest-fps-zero", 1),
+    ],
 )
 def test_exit_code_tells_validation_from_io(case, code, tmp_path, diver_seq, capsys):
     assert main(case_argv(case, tmp_path, diver_seq)) == code
     assert capsys.readouterr().err.startswith("error:" if code == 1 else "I/O error:")
 
 
-@pytest.mark.parametrize("case, key", [("gains-output-clamp-above-one", "output_clamp")])
+@pytest.mark.parametrize(
+    "case, key",
+    [("gains-output-clamp-above-one", "output_clamp"), ("track-manifest-fps-zero", "'fps'")],
+)
 def test_error_line_names_the_key(case, key, tmp_path, diver_seq, capsys):
     assert main(case_argv(case, tmp_path, diver_seq)) == 1
     err = capsys.readouterr().err

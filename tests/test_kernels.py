@@ -45,6 +45,20 @@ def test_blur_matrices_reproduce_the_blur():
         assert np.allclose(rows @ img @ cols.T, mine, atol=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24), st.just(3))),
+    st.integers(0, 2),
+    st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+)
+def test_blur_of_uint8_equals_blur_of_float_copy(rgb, channel, sigma):
+    # an RGB frame's channel planes are uint8 and strided
+    for plane in (rgb[:, :, channel], np.ascontiguousarray(rgb[:, :, channel])):
+        got = kernels.gaussian_blur(plane, sigma)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, kernels.gaussian_blur(plane.astype(np.float64), sigma))
+
+
 @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf, -np.inf])
 def test_blur_rejects_negative_or_non_finite_sigma(sigma):
     # scipy alone would read -1 and NaN as "no blur" and overflow on inf

@@ -123,6 +123,8 @@ def test_corrupt_manifest_raises(tmp_path, text):
         ("fps", "10"),
         ("fps", True),
         ("fps", float("inf")),
+        ("fps", 0),
+        ("fps", -10.0),
     ],
 )
 def test_manifest_integer_keys_checked(tmp_path, key, value):
@@ -130,7 +132,7 @@ def test_manifest_integer_keys_checked(tmp_path, key, value):
     path = tmp_path / "seq" / "manifest.json"
     manifest = json.loads(path.read_text())
     path.write_text(json.dumps(dict(manifest, **{key: value})))
-    with pytest.raises(ValidationError, match=key):
+    with pytest.raises(ValidationError, match=rf"manifest\.json: manifest '{key}'"):
         read_sequence(tmp_path / "seq")
 
 
