@@ -4,6 +4,8 @@ A frame is a raster with intensities in [0, 255]. RGB frames built from uint8
 pixels (as read from disk or rendered) keep them as uint8; gray frames and
 every other input are widened to float64, after a range check for non-uint8
 input. :func:`quantize` is the one rule that rounds intensities to uint8.
+A frame's pixels are read-only, and a writeable input that needs no
+conversion is copied, so the caller's own array stays theirs to write.
 The grid chops a frame into equal non-overlapping windows; pixels in the
 right/bottom margin left over by the flooring are not part of any window.
 
@@ -56,6 +58,8 @@ class Frame:
             raise ValidationError("pixel intensities must be finite and lie in [0, 255]")
         if not 0 < self.fps < math.inf:  # NaN fails too
             raise ValidationError("fps must be positive and finite")
+        if raw.flags.writeable and np.may_share_memory(arr, raw):
+            arr = arr.copy()  # freezing the caller's own array would lock them out of it
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -387,8 +391,13 @@ def grid_for(cfg: TrackerConfig, frame_w: int, frame_h: int) -> GridConfig:
 
 
 def quantize(x: np.ndarray) -> np.ndarray:
-    """Intensities rounded half-up and clipped to [0, 255], as uint8."""
-    return np.clip(np.floor(x + 0.5), 0, 255).astype(np.uint8)
+    """Intensities rounded half-up and clipped to [0, 255], as uint8.
+
+    The result is read-only, so a :class:`Frame` stores it without a copy.
+    """
+    out = np.clip(np.floor(x + 0.5), 0, 255).astype(np.uint8)
+    out.setflags(write=False)
+    return out
 
 
 def luminance(frame: Frame) -> Frame:

@@ -26,6 +26,7 @@ from .synth import DiverSceneSpec, GestureSceneSpec, GroundTruth
 POSITIVE = "positive"
 MISSED = "missed"
 WRONG = "wrong"
+TOLERANCE_WINDOWS = 1  # the largest Chebyshev grid distance of a positive detection
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,6 @@ def score_detection(
     truth: GroundTruth,
     cfg: TrackerConfig,
     grid: GridConfig,
-    tol_windows: int = 1,
 ) -> DetectionReport:
     """Classify every cycle against truth (Chebyshev grid distance)."""
     expected = truth_terminal_windows(truth, cfg, grid, len(results))
@@ -104,10 +104,10 @@ def score_detection(
         row_d, col_d = grid.grid_coords(result.terminal_window)
         row_t, col_t = grid.grid_coords(truth_window)
         chebyshev = max(abs(row_d - row_t), abs(col_d - col_t))
-        classifications.append(POSITIVE if chebyshev <= tol_windows else WRONG)
+        classifications.append(POSITIVE if chebyshev <= TOLERANCE_WINDOWS else WRONG)
     return DetectionReport(
         classifications=tuple(classifications),
-        tolerance_windows=tol_windows,
+        tolerance_windows=TOLERANCE_WINDOWS,
         config=cfg.to_dict(),
     )
 

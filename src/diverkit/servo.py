@@ -8,13 +8,17 @@ vehicle's autopilot owns it.
 
 On a missed detection the last command is held but decays by 0.8 per frame so
 a lost target cannot drive the robot forever.
+
+The simulation world watches the diver through one fixed camera: a 320x240
+frame with a 60 x 45 degree field of view, and a box whose area fraction
+equals the target at the 2 m standoff.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -23,6 +27,9 @@ from .core import fields, finite, nested  # table helpers, converters
 
 MISS_DECAY = 0.8
 PITCH_LIMIT = math.pi / 3.0
+FRAME_W, FRAME_H = 320, 240  # the follow camera's frame, px
+HFOV, VFOV = math.pi / 3.0, math.pi / 4.0  # and its field of view, rad
+STANDOFF_M = 2.0  # distance at which the box covers the target area fraction
 
 
 @dataclass(frozen=True)
@@ -74,21 +81,8 @@ class ServoCommand:
             if not -1.0 <= v <= 1.0:
                 raise ValidationError(f"{name}={v} outside [-1, 1]")
 
-    def decayed(self, factor: float = MISS_DECAY) -> "ServoCommand":
-        return ServoCommand(
-            self.yaw_rate * factor,
-            self.pitch_rate * factor,
-            self.forward_speed * factor,
-            self.vertical_speed * factor,
-        )
-
-    def magnitude(self) -> float:
-        return max(
-            abs(self.yaw_rate),
-            abs(self.pitch_rate),
-            abs(self.forward_speed),
-            abs(self.vertical_speed),
-        )
+    def decayed(self) -> "ServoCommand":
+        return ServoCommand(*(v * MISS_DECAY for v in astuple(self)))
 
 
 @dataclass(frozen=True)
@@ -179,8 +173,8 @@ def kinematic_step(
     state: RobotState,
     cmd: ServoCommand,
     dt: float,
-    v_max: float = 1.0,
-    omega_max: float = math.pi / 4.0,
+    v_max: float,
+    omega_max: float,
 ) -> RobotState:
     """Forward-Euler toy kinematics; pitch clamps at +-pi/3."""
     if dt <= 0:
@@ -203,27 +197,17 @@ def kinematic_step(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CameraModel:
-    frame_w: int = 320
-    frame_h: int = 240
-    hfov: float = math.pi / 3.0
-    vfov: float = math.pi / 4.0
-
-
 @dataclass
 class FollowWorld:
     """A stationary diver watched by the robot's pinhole-ish camera.
 
     Image x grows with (bearing - yaw) and image y with (elevation - pitch);
     the box area fraction scales with 1/distance^2 and matches
-    ``target_area_fraction`` at ``standoff_m``.
+    ``target_area_fraction`` at ``STANDOFF_M``.
     """
 
     diver: tuple[float, float, float]
-    camera: CameraModel = field(default_factory=CameraModel)
-    standoff_m: float = 2.0
-    target_area_fraction: float = 0.08
+    target_area_fraction: float
 
     def observe(self, state: RobotState) -> BoundingBox | None:
         dx = self.diver[0] - state.x
@@ -235,16 +219,15 @@ class FollowWorld:
             return None
         bearing = math.atan2(dy, dx)
         elevation = math.atan2(dz, horiz)
-        ex_raw = _wrap_angle(bearing - state.yaw) / (self.camera.hfov / 2.0)
-        ey_raw = (elevation - state.pitch) / (self.camera.vfov / 2.0)
+        ex_raw = _wrap_angle(bearing - state.yaw) / (HFOV / 2.0)
+        ey_raw = (elevation - state.pitch) / (VFOV / 2.0)
         if abs(ex_raw) > 1.0 or abs(ey_raw) > 1.0:
             return None  # target outside the field of view
-        area_fraction = self.target_area_fraction * (self.standoff_m / dist) ** 2
-        area = area_fraction * self.camera.frame_w * self.camera.frame_h
-        side = math.sqrt(max(area, 1e-9))
+        area_fraction = self.target_area_fraction * (STANDOFF_M / dist) ** 2
+        side = math.sqrt(max(area_fraction * FRAME_W * FRAME_H, 1e-9))
         return BoundingBox(
-            cx=self.camera.frame_w / 2.0 * (1.0 + ex_raw),
-            cy=self.camera.frame_h / 2.0 * (1.0 + ey_raw),
+            cx=FRAME_W / 2.0 * (1.0 + ex_raw),
+            cy=FRAME_H / 2.0 * (1.0 + ey_raw),
             w=side,
             h=side,
         )
@@ -263,23 +246,10 @@ class FollowLogRow:
     detected: bool
 
     def to_csv_row(self) -> list:
-        ex, ey, ea = self.errors if self.errors is not None else ("", "", "")
-        return [
-            f"{self.t:.3f}",
-            f"{self.state.x:.6f}",
-            f"{self.state.y:.6f}",
-            f"{self.state.z:.6f}",
-            f"{self.state.yaw:.6f}",
-            f"{self.state.pitch:.6f}",
-            ex if ex == "" else f"{ex:.6f}",
-            ey if ey == "" else f"{ey:.6f}",
-            ea if ea == "" else f"{ea:.6f}",
-            f"{self.cmd.yaw_rate:.6f}",
-            f"{self.cmd.pitch_rate:.6f}",
-            f"{self.cmd.forward_speed:.6f}",
-            f"{self.cmd.vertical_speed:.6f}",
-            int(self.detected),
-        ]
+        # the state without its time, the errors (blank on a miss), the command
+        values = (*astuple(self.state)[:5], *(self.errors or (None,) * 3), *astuple(self.cmd))
+        cells = ("" if v is None else f"{v:.6f}" for v in values)
+        return [f"{self.t:.3f}", *cells, int(self.detected)]
 
 
 FOLLOW_LOG_COLUMNS = [
@@ -291,12 +261,7 @@ FOLLOW_LOG_COLUMNS = [
 
 
 def follow_loop(
-    detector,
-    bank: PidBank,
-    duration_s: float,
-    fps: float = 10.0,
-    frame_w: int = 320,
-    frame_h: int = 240,
+    detector, bank: PidBank, duration_s: float, fps: float = 10.0
 ) -> list[FollowLogRow]:
     """Closed loop: detect, control, integrate; one log row per frame.
 
@@ -312,7 +277,7 @@ def follow_loop(
     for k in range(steps):
         bbox = detector(state)
         if bbox is not None:
-            errors = bbox_error(bbox, frame_w, frame_h, cfg.target_area_fraction)
+            errors = bbox_error(bbox, FRAME_W, FRAME_H, cfg.target_area_fraction)
             cmd = servo_step(errors, bank, dt)
         else:
             errors = None
@@ -334,15 +299,13 @@ def make_offset_world(
     offset_x: float,
     offset_y: float,
     config: ServoConfig,
-    camera: CameraModel | None = None,
     distance_ratio: float = 1.25,
 ) -> FollowWorld:
     """World where the diver starts at the given fractional image offsets and
     at ``distance_ratio`` times the standoff distance."""
-    camera = camera or CameraModel()
-    dist = 2.0 * distance_ratio
-    bearing = offset_x * camera.hfov / 2.0
-    elevation = offset_y * camera.vfov / 2.0
+    dist = STANDOFF_M * distance_ratio
+    bearing = offset_x * HFOV / 2.0
+    elevation = offset_y * VFOV / 2.0
     horiz = dist * math.cos(elevation)
     return FollowWorld(
         diver=(
@@ -350,8 +313,6 @@ def make_offset_world(
             horiz * math.sin(bearing),
             dist * math.sin(elevation),
         ),
-        camera=camera,
-        standoff_m=2.0,
         target_area_fraction=config.target_area_fraction,
     )
 
@@ -393,14 +354,7 @@ class FollowScene:
         world = make_offset_world(
             self.offset_x, self.offset_y, config, distance_ratio=self.distance_ratio
         )
-        rows = follow_loop(
-            world.observe,
-            PidBank(config),
-            self.duration_s,
-            self.fps,
-            frame_w=world.camera.frame_w,
-            frame_h=world.camera.frame_h,
-        )
+        rows = follow_loop(world.observe, PidBank(config), self.duration_s, self.fps)
         write_follow_log(log_path, rows)
         return rows
 

@@ -58,8 +58,15 @@ class PathSpec:
 class Flipper:
     radius: float = 13.0
     intensity: float = 215.0  # disk intensity at zero oscillation phase
-    amplitude: float = 40.0
+    amplitude: float = 40.0  # the intensity swings by +- |amplitude|
     frequency: float = 1.5  # Hz
+
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise ValidationError(f"flipper radius must be positive, got {self.radius}")
+        swing = abs(self.amplitude)
+        if not (0.0 <= self.intensity - swing and self.intensity + swing <= 255.0):
+            raise ValidationError("flipper intensity +- |amplitude| must stay in [0, 255]")
 
 
 @dataclass(frozen=True)
@@ -82,14 +89,11 @@ class DiverSceneSpec:
             raise ValidationError(
                 "flipper frequency must lie in (0, fps/2) to be observable"
             )
-        lo = self.flipper.intensity - self.flipper.amplitude
-        hi = self.flipper.intensity + self.flipper.amplitude
-        if lo < 0.0 or hi > 255.0:
-            raise ValidationError("flipper intensity +- amplitude must stay in [0, 255]")
         if not 0.0 <= self.background <= 255.0:
             raise ValidationError("background intensity must lie in [0, 255]")
         if self.noise_sigma < 0:
             raise ValidationError("noise sigma must be >= 0")
+        _check_seed(self.seed)
         sinusoid = self.path.kind == "sinusoid"
         if sinusoid and math.isinf(2.0 * math.pi * self.frames / self.path.period):
             raise ValidationError("sinusoid period is too short for the path's phase to be finite")
@@ -157,6 +161,11 @@ _TRUTH_KEYS = {
     "windows": ("windows", listof(integer)),
     "gesture_labels": ("gesture_labels", listof(listof(optional(str), 2))),
 }
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # np.random.default_rng takes non-negative seeds only
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
 def _disk_mask(width: int, height: int, cx: float, cy: float, r: float) -> np.ndarray:
@@ -293,12 +302,23 @@ class GestureSceneSpec:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValidationError("gesture scene needs at least one segment")
-        if self.noise_sigma < 0 or self.jitter < 0:
-            raise ValidationError("noise sigma and jitter must be >= 0")
         if self.width < 2 * HAND_CANVAS or self.height < HAND_CANVAS:
             raise ValidationError(
                 f"frame must be at least {2 * HAND_CANVAS}x{HAND_CANVAS}"
             )
+        if self.noise_sigma < 0:
+            raise ValidationError("noise sigma must be >= 0")
+        # a jittered canvas must stay inside the frame: jitter is at most the
+        # smallest gap between a hand's canvas and the frame edge
+        margin = min(
+            min(x, y, self.width - HAND_CANVAS - x, self.height - HAND_CANVAS - y)
+            for x, y in (hand_anchor(self, side) for side in ("left", "right"))
+        )
+        if not 0 <= self.jitter <= margin:
+            raise ValidationError(
+                f"jitter must lie in [0, {margin}] at {self.width}x{self.height}, got {self.jitter}"
+            )
+        _check_seed(self.seed)
 
     @property
     def frames(self) -> int:

@@ -109,7 +109,20 @@ class TestFrame:
         assert np.array_equal(frame.pixels, twin.pixels)
         assert frame.channels == 3
 
-    @pytest.mark.parametrize("fps", [0.0, -10.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "pixels", [np.zeros((4, 4)), np.zeros((4, 4, 3), dtype=np.uint8)], ids=["gray", "rgb"]
+    )
+    def test_caller_array_stays_writeable(self, pixels):
+        frame = Frame(pixels)
+        assert pixels.flags.writeable and not frame.pixels.flags.writeable
+        pixels[1, 2] = 200
+        assert (frame.pixels == 0).all()
+
+    def test_read_only_input_is_stored_without_a_copy(self):
+        pixels = np.frombuffer(bytes(range(48)), dtype=np.uint8).reshape(4, 4, 3)  # as read_pnm
+        assert np.shares_memory(Frame(pixels).pixels, pixels)
+
+    @pytest.mark.parametrize("fps",[0.0, -10.0, math.nan, math.inf, -math.inf])
     def test_rejects_non_positive_or_non_finite_fps(self, fps):
         with pytest.raises(ValidationError, match="fps"):
             Frame(np.zeros((2, 2)), fps=fps)

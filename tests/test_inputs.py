@@ -5,11 +5,15 @@ line; the property test feeds arbitrary JSON to every typed loader, which must
 return an object or raise ValidationError and nothing else.
 """
 
+import contextlib
+import io
 import json
 import math
 import shutil
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +32,7 @@ from diverkit.lang import DEBOUNCE_FRAMES, Token, load_mapping, mapping_from_dic
 from diverkit.servo import FollowScene, ServoConfig
 from diverkit.synth import DiverSceneSpec, GestureSceneSpec, GestureSegment, GroundTruth
 
-from test_cli import DIVER_SPEC, run_cli
+from test_cli import DIVER_SPEC, GESTURE_SPEC, run_cli
 
 UNDECODABLE = b'{"seed": "\xff"}'
 BLACK_PGM = b"P5\n90 60\n255\n" + bytes(90 * 60)  # six 30x30 windows
@@ -48,6 +52,7 @@ FOLLOW = ["follow", "--out", "{d}/log.csv"]
 GAINS = FOLLOW + ["--gains", "{d}/gains.json"]
 DECODE = ["decode", "--tokens", "{d}/tokens.jsonl", "--out", "{d}/ins.jsonl"]
 SYNTH = ["synth", "--spec", "{d}/spec.json", "--out", "{d}/seq"]
+ONE_HAND = {"segments": [{"left": "one", "frames": 2}]}
 
 # case id -> (files to write, argv); "{d}" is the case's directory, "{seq}" a valid
 # diver sequence. Strings and bytes are written as they stand, other values as JSON.
@@ -145,6 +150,42 @@ CASES = {
         {"spec.json": '{"segments": [{"left": "one", "frames": 2}], "fps": NaN}'},
         SYNTH + ["--kind", "gesture"],
     ),
+    "synth-diver-seed-negative": ({"spec.json": {}}, SYNTH + ["--kind", "diver", "--seed", "-1"]),
+    "synth-gesture-seed-negative": (
+        {"spec.json": dict(ONE_HAND, seed=-3)}, SYNTH + ["--kind", "gesture"]
+    ),
+    "experiment-diver-seed-negative": (
+        {"exp.json": {"kind": "track", "scene": {"seed": -2}}}, EXPERIMENT
+    ),
+    "synth-gesture-jitter-beyond-margin": (  # a hand's margin is 30 px at 320x240
+        {"spec.json": dict(ONE_HAND, jitter=100)}, SYNTH + ["--kind", "gesture"]
+    ),
+    "synth-gesture-jitter-at-minimum-frame": (  # no margin at all at 200x100
+        {"spec.json": dict(ONE_HAND, width=200, height=100, jitter=1)},
+        SYNTH + ["--kind", "gesture"],
+    ),
+    "synth-flipper-amplitude-negative": (  # 250 +- 40 leaves [0, 255]
+        {"spec.json": {"flipper": {"intensity": 250.0, "amplitude": -40.0}}},
+        SYNTH + ["--kind", "diver"],
+    ),
+    "synth-flipper-radius-negative": (
+        {"spec.json": {"flipper": {"radius": -5.0}}}, SYNTH + ["--kind", "diver"]
+    ),
+    "synth-flipper-radius-zero": (
+        {"spec.json": {"flipper": {"radius": 0}}}, SYNTH + ["--kind", "diver"]
+    ),
+}
+
+# the spec refusals of a value that reads fine but is out of range, each with its key
+RANGE_CASES = {
+    "synth-diver-seed-negative": "seed",
+    "synth-gesture-seed-negative": "seed",
+    "experiment-diver-seed-negative": "seed",
+    "synth-gesture-jitter-beyond-margin": "jitter",
+    "synth-gesture-jitter-at-minimum-frame": "jitter",
+    "synth-flipper-amplitude-negative": "amplitude",
+    "synth-flipper-radius-negative": "radius",
+    "synth-flipper-radius-zero": "radius",
 }
 
 # one case per command family, also run as a child process
@@ -198,6 +239,7 @@ def test_malformed_input_exits_with_one_error_line(case, tmp_path, diver_seq, ca
         ("track-missing-seq-dir", 2),
         ("track-pgm-trailing-bytes", 2),
         ("track-manifest-fps-zero", 1),
+        *((case, 1) for case in RANGE_CASES),
     ],
 )
 def test_exit_code_tells_validation_from_io(case, code, tmp_path, diver_seq, capsys):
@@ -207,7 +249,11 @@ def test_exit_code_tells_validation_from_io(case, code, tmp_path, diver_seq, cap
 
 @pytest.mark.parametrize(
     "case, key",
-    [("gains-output-clamp-above-one", "output_clamp"), ("track-manifest-fps-zero", "'fps'")],
+    [
+        ("gains-output-clamp-above-one", "output_clamp"),
+        ("track-manifest-fps-zero", "'fps'"),
+        *RANGE_CASES.items(),
+    ],
 )
 def test_error_line_names_the_key(case, key, tmp_path, diver_seq, capsys):
     assert main(case_argv(case, tmp_path, diver_seq)) == 1
@@ -282,6 +328,39 @@ def test_gesture_scene_without_a_finite_positive_fps_writes_nothing(fps, tmp_pat
 def test_sinusoid_path_too_fast_for_a_finite_phase_is_refused():
     with pytest.raises(ValidationError, match="sinusoid"):
         DiverSceneSpec.from_dict({"path": {"kind": "sinusoid", "amplitude": 1.0, "period": 5e-324}})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["diver", "gesture"]),
+    frames=st.integers(1, 2),
+    # each value from a narrow range around its bounds or a wide one
+    seed=st.integers(-3, 3) | st.integers(-2**70, 2**70),
+    jitter=st.integers(-3, 40) | st.integers(-400, 400),
+    size=st.tuples(st.integers(190, 420), st.integers(90, 300)),
+    radius=st.floats(-3.0, 30.0) | st.floats(-1e3, 1e3),
+    amplitude=st.floats(-60.0, 60.0) | st.floats(-400.0, 400.0),
+)
+def test_synth_on_wide_spec_values_exits_0_or_1(
+    kind, frames, seed, jitter, size, radius, amplitude
+):
+    if kind == "diver":
+        flipper = dict(DIVER_SPEC["flipper"], radius=radius, amplitude=amplitude)
+        spec = dict(DIVER_SPEC, frames=frames, flipper=flipper)
+    else:
+        segments = [dict(GESTURE_SPEC["segments"][1], frames=frames)]
+        spec = {"segments": segments, "width": size[0], "height": size[1], "jitter": jitter}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["synth", "--kind", kind, "--spec", str(path), "--out", f"{d}/seq"]
+        argv += ["--seed", str(seed)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert_one_error_line(err.getvalue())
 
 
 def test_follow_scene_defaults_and_checks():

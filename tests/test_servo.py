@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -110,26 +111,26 @@ class TestServoStep:
 class TestKinematics:
     def test_zero_command_only_advances_time(self):
         s0 = RobotState(x=1, y=2, z=3, yaw=0.5, pitch=0.1, time=0.0)
-        s1 = kinematic_step(s0, ServoCommand(), 0.25)
+        s1 = kinematic_step(s0, ServoCommand(), 0.25, v_max=1.0, omega_max=math.pi / 4)
         assert (s1.x, s1.y, s1.z, s1.yaw, s1.pitch) == (1, 2, 3, 0.5, 0.1)
         assert s1.time == 0.25
 
     def test_forward_one_second(self):
         s1 = kinematic_step(
-            RobotState(), ServoCommand(forward_speed=1.0), 1.0, v_max=1.0
+            RobotState(), ServoCommand(forward_speed=1.0), 1.0, v_max=1.0, omega_max=math.pi / 4
         )
         assert s1.x == pytest.approx(1.0, abs=1e-9)
         assert s1.y == 0.0 and s1.z == 0.0
 
     def test_yaw_rate_one_second(self):
         s1 = kinematic_step(
-            RobotState(), ServoCommand(yaw_rate=1.0), 1.0, omega_max=math.pi / 4
+            RobotState(), ServoCommand(yaw_rate=1.0), 1.0, v_max=1.0, omega_max=math.pi / 4
         )
         assert s1.yaw == pytest.approx(math.pi / 4)
 
     def test_pitch_clamped(self):
         state = RobotState(pitch=math.pi / 3)
-        s1 = kinematic_step(state, ServoCommand(pitch_rate=1.0), 1.0, omega_max=1.0)
+        s1 = kinematic_step(state, ServoCommand(pitch_rate=1.0), 1.0, v_max=1.0, omega_max=1.0)
         assert s1.pitch == pytest.approx(math.pi / 3)
 
 
@@ -165,10 +166,10 @@ class TestFollowLoop:
             return None
 
         rows = follow_loop(detector, bank, duration_s=3.0, fps=10.0)
-        assert rows[0].cmd.magnitude() > 0.5
+        assert max(abs(v) for v in astuple(rows[0].cmd)) > 0.5
         assert MISS_DECAY**21 < 0.01
         for row in rows[22:]:
-            assert row.cmd.magnitude() < 0.01
+            assert max(abs(v) for v in astuple(row.cmd)) < 0.01
 
     def test_centered_target_holds_heading(self):
         config = ServoConfig()
@@ -231,7 +232,7 @@ class TestWorld:
         assert world.observe(behind) is None
 
     def test_area_scales_inverse_square(self):
-        world = FollowWorld(diver=(4.0, 0.0, 0.0), standoff_m=2.0, target_area_fraction=0.08)
+        world = FollowWorld(diver=(4.0, 0.0, 0.0), target_area_fraction=0.08)
         bbox_far = world.observe(RobotState())
         bbox_near = world.observe(RobotState(x=2.0))
         assert bbox_near.area == pytest.approx(4 * bbox_far.area, rel=1e-6)
