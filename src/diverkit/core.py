@@ -33,6 +33,15 @@ class ValidationError(ValueError):
     """A domain object or config file violates its invariants."""
 
 
+def _writeable_through(arr: np.ndarray) -> bool:
+    """True if ``arr`` or any array it views is writeable; a bytes base is not."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return True
+        arr = arr.base
+    return False
+
+
 @dataclass(frozen=True)
 class Frame:
     """One image frame; gray arrays are (h, w), RGB arrays are (h, w, 3)."""
@@ -58,8 +67,8 @@ class Frame:
             raise ValidationError("pixel intensities must be finite and lie in [0, 255]")
         if not 0 < self.fps < math.inf:  # NaN fails too
             raise ValidationError("fps must be positive and finite")
-        if raw.flags.writeable and np.may_share_memory(arr, raw):
-            arr = arr.copy()  # freezing the caller's own array would lock them out of it
+        if _writeable_through(raw) and np.may_share_memory(arr, raw):
+            arr = arr.copy()  # the caller could still change it, or would be locked out of it
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -235,10 +244,6 @@ class TrackerConfig:
                 f"{self.fps} fps falls inside the band {self.band}"
             )
         object.__setattr__(self, "band_range", band_range)  # derived, not a field
-
-    def band_bins(self) -> list[int]:
-        """Non-DC DFT bins whose center frequency lies inside the band."""
-        return list(self.band_range)
 
     @property
     def window(self) -> tuple[int, int]:

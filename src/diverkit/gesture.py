@@ -6,11 +6,12 @@ nearest-neighbor matching of a small shape descriptor against a per-class
 template bank. The descriptor is ``(extent, eccentricity, solidity)``, all in
 [0, 1].
 
-The skin threshold keeps each blurred channel as its own plane. V and S come
-from plane-wise max/min over the whole frame; hue, the costly part, is
-computed only for the pixels whose S and V already lie inside the range, with
-the same per-pixel expressions as a whole-image conversion, so the mask equals
-a threshold of the full HSV image bit for bit.
+The skin threshold blurs the channels only inside the box where the blurred
+max of R, G and B reaches the V floor, and keeps each blurred channel as its
+own plane. V and S come from plane-wise max/min inside that box; hue, the
+costly part, is computed only for the pixels whose S and V already lie inside
+the range, with the same per-pixel expressions as a whole-image conversion, so
+the mask equals a threshold of the full HSV image bit for bit.
 
 Recognizers are pluggable callables ``(frame, frame_index) -> GesturePairToken``
 so a learned detector can replace the shape pipeline later. Two ship here:
@@ -33,7 +34,7 @@ from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError
 
 from . import kernels
-from .core import BoundingBox, Frame, ValidationError, read_fields, read_json, to_json
+from .core import BoundingBox, Frame, ValidationError, read_fields, read_json
 from .core import fields, finite, integer, listof, nested, optional  # table helpers, converters
 
 
@@ -120,19 +121,38 @@ def segment_skin(frame: Frame, hsv_range: HsvRange, sigma: float = 1.0) -> np.nd
     """Blur then threshold an RGB frame in HSV space; returns a bool mask.
 
     The mask equals a threshold of the whole blurred image's (H, S, V) bit for
-    bit, but works on the three blurred channel planes and computes hue only
-    for the pixels whose S and V already lie inside the range.
+    bit. The blur weighs every channel with the same non-negative taps and
+    IEEE rounding is monotone, so the blur of the plane-wise max ``max(R, G,
+    B)``, divided by 255 as V is, bounds the blurred V from above: no pixel
+    where it is below ``v_lo`` can pass. The channels are blurred only over the
+    bounding box of the other pixels, grown by the tap radius and clipped to
+    the frame, so every box pixel reads the taps (and frame-edge reflections)
+    of a full-frame blur. Inside the box, S and V come from the three blurred
+    planes and hue is computed only where S and V already lie inside the range.
     """
     if frame.channels != 3:
         raise TypeError("segment_skin needs an RGB frame")
     rgb = frame.pixels
-    r, g, b = (kernels.gaussian_blur(rgb[:, :, c], sigma) / 255.0 for c in range(3))
-    v, s, span = _value_saturation(r, g, b)
     (s_lo, s_hi), (v_lo, v_hi) = hsv_range.s, hsv_range.v
+    mask = np.zeros(rgb.shape[:2], dtype=bool)
+    maxc = np.maximum(np.maximum(rgb[:, :, 0], rgb[:, :, 1]), rgb[:, :, 2])
+    may_pass = kernels.gaussian_blur(maxc, sigma) / 255.0 >= v_lo
+    rows = np.flatnonzero(may_pass.any(axis=1))
+    if rows.size == 0:
+        return mask
+    cols = np.flatnonzero(may_pass.any(axis=0))
+    (y0, y1), (x0, x1) = (rows[0], rows[-1] + 1), (cols[0], cols[-1] + 1)
+    pad = kernels.tap_radius(sigma)
+    cy, cx = max(y0 - pad, 0), max(x0 - pad, 0)
+    crop = rgb[cy : min(y1 + pad, rgb.shape[0]), cx : min(x1 + pad, rgb.shape[1])]
+    box = (slice(y0 - cy, y1 - cy), slice(x0 - cx, x1 - cx))
+    r, g, b = (kernels.gaussian_blur(crop[:, :, c], sigma)[box] / 255.0 for c in range(3))
+    v, s, span = _value_saturation(r, g, b)
     idx = np.flatnonzero((s >= s_lo) & (s <= s_hi) & (v >= v_lo) & (v <= v_hi))
     r, g, b, v, s, span = (a.ravel()[idx] for a in (r, g, b, v, s, span))
-    mask = np.zeros(rgb.shape[:2], dtype=bool)
-    mask.ravel()[idx] = hsv_range.contains(_hue(r, g, b, v, span), s, v)
+    in_box = np.zeros((y1 - y0, x1 - x0), dtype=bool)
+    in_box.ravel()[idx] = hsv_range.contains(_hue(r, g, b, v, span), s, v)
+    mask[y0:y1, x0:x1] = in_box
     return mask
 
 
@@ -454,13 +474,6 @@ def build_default_bank() -> TemplateBank:
         ys, xs = np.nonzero(mask)
         bank[cls] = shape_descriptor(xs, ys)
     return bank
-
-
-def gesture_config_to_dict(hsv_range: HsvRange, bank: TemplateBank) -> dict:
-    return {
-        "hsv": to_json(hsv_range),
-        "templates": {cls.name: [float(v) for v in desc] for cls, desc in bank.items()},
-    }
 
 
 # gesture config JSON key -> (field, converter); templates are keyed by class name

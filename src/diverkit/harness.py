@@ -32,7 +32,6 @@ TOLERANCE_WINDOWS = 1  # the largest Chebyshev grid distance of a positive detec
 @dataclass(frozen=True)
 class DetectionReport:
     classifications: tuple[str, ...]
-    tolerance_windows: int
     config: dict = field(default_factory=dict)
 
     @property
@@ -63,7 +62,7 @@ class DetectionReport:
             "positive_pct": self.percentage(POSITIVE),
             "missed_pct": self.percentage(MISSED),
             "wrong_pct": self.percentage(WRONG),
-            "tolerance_windows": self.tolerance_windows,
+            "tolerance_windows": TOLERANCE_WINDOWS,
             "per_cycle": list(self.classifications),
             "config": self.config,
         }
@@ -105,11 +104,7 @@ def score_detection(
         row_t, col_t = grid.grid_coords(truth_window)
         chebyshev = max(abs(row_d - row_t), abs(col_d - col_t))
         classifications.append(POSITIVE if chebyshev <= TOLERANCE_WINDOWS else WRONG)
-    return DetectionReport(
-        classifications=tuple(classifications),
-        tolerance_windows=TOLERANCE_WINDOWS,
-        config=cfg.to_dict(),
-    )
+    return DetectionReport(classifications=tuple(classifications), config=cfg.to_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,11 @@ def _checked_sigma(sigma: float) -> float:
     return sigma
 
 
+def tap_radius(sigma: float) -> int:
+    """Taps :func:`gaussian_blur` reads on each side of a pixel (scipy's rule)."""
+    return int(TRUNCATE * _checked_sigma(sigma) + 0.5)
+
+
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Blur a 2-D image with a separable Gaussian (symmetric boundary).
 

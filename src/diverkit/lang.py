@@ -160,15 +160,6 @@ def mapping_from_dict(raw: dict) -> MappingTable:
     return MappingTable(pairs)
 
 
-def mapping_to_dict(table: MappingTable) -> dict:
-    return {
-        "pairs": [
-            {"left": left.name, "right": right.name, "token": token.name}
-            for (left, right), token in table.pairs.items()
-        ]
-    }
-
-
 def load_mapping(path: str | Path | None = None) -> MappingTable:
     """Load a mapping table; without a path, the packaged default."""
     source = resources.files("diverkit").joinpath("data", "mapping.json") if path is None else path

@@ -139,8 +139,8 @@ def load_gains(path: str | Path | None = None) -> ServoConfig:
 class PidBank:
     """The four controllers plus the config they came from."""
 
-    def __init__(self, config: ServoConfig | None = None):
-        self.config = config or ServoConfig()
+    def __init__(self, config: ServoConfig):
+        self.config = config
         self.yaw = Pid(self.config.yaw)
         self.pitch = Pid(self.config.pitch)
         self.vertical = Pid(self.config.vertical)

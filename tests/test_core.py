@@ -13,6 +13,7 @@ from diverkit.core import (
     grid_for,
     load_tracker_config,
     luminance,
+    quantize,
     window_center,
     window_rect,
 )
@@ -117,6 +118,20 @@ class TestFrame:
         assert pixels.flags.writeable and not frame.pixels.flags.writeable
         pixels[1, 2] = 200
         assert (frame.pixels == 0).all()
+
+    @pytest.mark.parametrize(
+        "pixels", [np.zeros((4, 4)), np.zeros((4, 4, 3), dtype=np.uint8)], ids=["gray", "rgb"]
+    )
+    def test_read_only_view_of_a_writeable_array_is_copied(self, pixels):
+        view = pixels.view()
+        view.setflags(write=False)
+        frame = Frame(view)
+        pixels[0, 0] = 9
+        assert (frame.pixels == 0).all()
+
+    def test_quantized_rgb_input_is_stored_without_a_copy(self):
+        pixels = quantize(np.full((4, 4, 3), 7.4))
+        assert Frame(pixels).pixels is pixels
 
     def test_read_only_input_is_stored_without_a_copy(self):
         pixels = np.frombuffer(bytes(range(48)), dtype=np.uint8).reshape(4, 4, 3)  # as read_pnm
@@ -256,7 +271,7 @@ class TestTrackerConfig:
         cfg = TrackerConfig()
         assert cfg.slide == 15 and cfg.pool == 5 and cfg.delta == 75.0
         assert cfg.stride == cfg.slide
-        assert cfg.band_bins() == [2, 3]
+        assert list(cfg.band_range) == [2, 3]
 
     @pytest.mark.parametrize("fps", [1.0, 7.5, 10.0, 29.97, 30.0])
     def test_band_bins_closed_form_matches_the_per_bin_test(self, fps):

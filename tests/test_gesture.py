@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from diverkit import gesture, kernels, synth
-from diverkit.core import Frame, ValidationError
+from diverkit.core import Frame, ValidationError, to_json
 from diverkit.gesture import (
     CacheEntry,
     GestureClass,
@@ -40,6 +40,14 @@ def solid_frame(color, w=320, h=240):
 def disk_mask(h, w, cx, cy, r):
     ys, xs = np.ogrid[:h, :w]
     return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
+
+
+def gesture_config_to_dict(hsv_range, bank):
+    """Writer: the gesture config JSON that ``load_gesture_config`` reads back."""
+    return {
+        "hsv": to_json(hsv_range),
+        "templates": {cls.name: [float(v) for v in desc] for cls, desc in bank.items()},
+    }
 
 
 def rgb_to_hsv(rgb):
@@ -174,6 +182,124 @@ class TestSkinMaskEquality:
             )
         ]
         assert len(frames) == 260 and mismatched == []
+
+
+DARK_MAX = 40  # dark pixels stay at or below this value in every channel
+SIGMAS = [0.0, 1.0, 2.5]
+
+
+@st.composite
+def boxed_skin_cases(draw):
+    """A dark frame with a rectangle of random pixels, a blur sigma and an HSV
+    range whose V floor lies above the dark pixels, so skin can pass only near
+    the rectangle and the box is usually a strict sub-rectangle of the frame."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    y1, x1 = draw(st.integers(y0 + 1, h)), draw(st.integers(x0 + 1, w))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pixels = rng.integers(0, DARK_MAX + 1, (h, w, 3), dtype=np.uint8)
+    if draw(st.booleans()):  # bytes, as rendered or read from a PPM
+        pixels[y0:y1, x0:x1] = rng.integers(0, 256, (y1 - y0, x1 - x0, 3))
+    else:
+        pixels = pixels.astype(np.float64)
+        pixels[y0:y1, x0:x1] = rng.uniform(0.0, 255.0, (y1 - y0, x1 - x0, 3))
+    frame = Frame(pixels)
+    sigma = draw(st.sampled_from(SIGMAS))
+
+    hue, sat, val = (a.ravel() for a in stacked_hsv(frame, sigma))
+    v_floor = DARK_MAX / 255.0
+    bright = val[val > v_floor]
+
+    def edge(seen, lo, hi):
+        if seen.size == 0:
+            return draw(st.floats(lo, hi))
+        on_pixel = st.integers(0, seen.size - 1).map(lambda i: float(seen[i]))
+        return draw(st.one_of(on_pixel, st.floats(lo, hi)))
+
+    hsv_range = HsvRange(
+        h=(edge(hue, 0.0, 359.99), edge(hue, 0.0, 359.99)),
+        s=tuple(sorted((edge(sat, 0.0, 1.0), edge(sat, 0.0, 1.0)))),
+        v=tuple(sorted((edge(bright, v_floor, 1.0), edge(bright, v_floor, 1.0)))),
+    )
+    return frame, sigma, hsv_range
+
+
+def dark_frame(h=40, w=60):
+    img = np.empty((h, w, 3), dtype=np.uint8)
+    img[:] = (20, 30, DARK_MAX)
+    return img
+
+
+def add_patch(img, y, x, h=6, w=8, seed=0):
+    """Paint a noisy skin patch with its top-left corner at (y, x)."""
+    noise = np.random.default_rng(seed).integers(-20, 21, (h, w, 3))
+    img[y : y + h, x : x + w] = np.clip(np.array(synth.DEFAULT_SKIN) + noise, 0, 255)
+    return img
+
+
+def skin_and_blurred_shapes(monkeypatch, frame, sigma):
+    """``segment_skin``'s mask and the shapes of the planes it blurred, in order."""
+    shapes = []
+    blur = kernels.gaussian_blur
+
+    def recording(img, s):
+        shapes.append(img.shape)
+        return blur(img, s)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(kernels, "gaussian_blur", recording)
+        mask = segment_skin(frame, SKIN_HSV, sigma)
+    assert np.array_equal(mask, SKIN_HSV.contains(*stacked_hsv(frame, sigma)))
+    return mask, shapes
+
+
+class TestSkinBox:
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_dark_frame_has_an_empty_box(self, sigma, monkeypatch):
+        mask, shapes = skin_and_blurred_shapes(monkeypatch, Frame(dark_frame()), sigma)
+        assert not mask.any() and shapes == [(40, 60)]  # the bound only
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_bright_gray_frame_boxes_the_whole_frame(self, sigma, monkeypatch):
+        frame = solid_frame((150, 150, 150), w=60, h=40)
+        mask, shapes = skin_and_blurred_shapes(monkeypatch, frame, sigma)
+        assert not mask.any() and shapes == [(40, 60)] * 4
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @pytest.mark.parametrize(
+        "y, x", [(0, 0), (0, 26), (0, 52), (17, 0), (17, 52), (34, 0), (34, 26), (34, 52)]
+    )
+    def test_patch_on_a_corner_or_an_edge(self, sigma, y, x, monkeypatch):
+        frame = Frame(add_patch(dark_frame(), y, x))
+        mask, shapes = skin_and_blurred_shapes(monkeypatch, frame, sigma)
+        assert mask.any() and len(shapes) == 4
+        assert all(h < 40 and w < 60 for h, w in shapes[1:])
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @pytest.mark.parametrize("edge", ["top", "left", "bottom", "right"])
+    def test_patch_one_radius_from_an_edge(self, sigma, edge, monkeypatch):
+        pad = kernels.tap_radius(sigma)
+        at = dict(top=(pad, 26), left=(17, pad), bottom=(34 - pad, 26), right=(17, 52 - pad))
+        img = add_patch(dark_frame(), *at[edge])
+        mask, shapes = skin_and_blurred_shapes(monkeypatch, Frame(img), sigma)
+        # the box the V bound leaves, found here with a whole-pixel max
+        ys, xs = np.nonzero(kernels.gaussian_blur(img.max(axis=2), sigma) / 255.0 >= SKIN_HSV.v[0])
+        assert ys.min() >= pad and ys.max() < 40 - pad and xs.min() >= pad and xs.max() < 60 - pad
+        box = (ys.max() - ys.min() + 1, xs.max() - xs.min() + 1)
+        assert mask.any() and shapes[1:] == [(box[0] + 2 * pad, box[1] + 2 * pad)] * 3
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_patch_at_every_distance_from_a_corner(self, sigma, monkeypatch):
+        for d in range(2 * kernels.tap_radius(sigma) + 2):
+            img = add_patch(dark_frame(), d, d, seed=d)
+            assert skin_and_blurred_shapes(monkeypatch, Frame(img), sigma)[0].any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxed_skin_cases())
+    def test_matches_stacked_hsv_threshold_in_a_box(self, case):
+        frame, sigma, hsv_range = case
+        got = segment_skin(frame, hsv_range, sigma)
+        assert np.array_equal(got, hsv_range.contains(*stacked_hsv(frame, sigma)))
 
 
 class TestRegions:
@@ -457,7 +583,7 @@ class TestConfig:
 
         hsv, bank = load_gesture_config()
         path = tmp_path / "gesture.json"
-        path.write_text(json.dumps(gesture.gesture_config_to_dict(hsv, bank)))
+        path.write_text(json.dumps(gesture_config_to_dict(hsv, bank)))
         hsv2, bank2 = load_gesture_config(path)
         assert hsv2 == hsv
         for cls in bank:

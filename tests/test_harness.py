@@ -106,8 +106,7 @@ class TestScoreDetection:
 
     def test_render_rows_format(self):
         report = DetectionReport(
-            classifications=("positive",) * 647 + ("missed",) * 46 + ("wrong",) * 12,
-            tolerance_windows=1,
+            classifications=("positive",) * 647 + ("missed",) * 46 + ("wrong",) * 12
         )
         rows = report.render_rows()
         # 647/705 = 91.8%, 46/705 = 6.5%, 12/705 = 1.7%

@@ -13,6 +13,7 @@ import shutil
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -21,14 +22,8 @@ from hypothesis import strategies as st
 
 from diverkit.cli import main
 from diverkit.core import TrackerConfig, ValidationError
-from diverkit.gesture import (
-    GestureClass,
-    GesturePairToken,
-    gesture_config_to_dict,
-    load_gesture_config,
-    parse_gesture_config,
-)
-from diverkit.lang import DEBOUNCE_FRAMES, Token, load_mapping, mapping_from_dict, mapping_to_dict
+from diverkit.gesture import GestureClass, GesturePairToken, parse_gesture_config
+from diverkit.lang import DEBOUNCE_FRAMES, Token, load_mapping, mapping_from_dict
 from diverkit.servo import FollowScene, ServoConfig
 from diverkit.synth import DiverSceneSpec, GestureSceneSpec, GestureSegment, GroundTruth
 
@@ -421,15 +416,21 @@ for _ in range(3):
     )
 json_objects = st.dictionaries(st.sampled_from(KEYS), json_values, max_size=6)
 
+
+def packaged(name: str) -> dict:
+    """A data file shipped with the package, as parsed JSON."""
+    return json.loads(resources.files("diverkit").joinpath("data", name).read_text())
+
+
 # one valid input per loader, to be damaged at any depth
 VALID = [
     TrackerConfig().to_dict(),
     DiverSceneSpec().to_dict(),
     GestureSceneSpec(segments=(GestureSegment(GestureClass.one, None, 3),)).to_dict(),
     ServoConfig().to_dict(),
-    mapping_to_dict(load_mapping()),
+    packaged("mapping.json"),
     GesturePairToken(GestureClass.ok, None, 4, conf_left=0.5).to_record(),
-    gesture_config_to_dict(*load_gesture_config()),
+    packaged("gesture.json"),
     {"offset_x": 0.3, "offset_y": -0.1, "duration_s": 2.0, "fps": 10.0, "distance_ratio": 1.0},
     {"centers": [[1.0, 2.0]], "windows": [3], "gesture_labels": [["one", None]]},
 ]

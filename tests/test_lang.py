@@ -23,11 +23,20 @@ from diverkit.lang import (
     digit,
     load_mapping,
     mapping_from_dict,
-    mapping_to_dict,
     step_fsm,
 )
 
 TABLE = default_mapping()
+
+
+def mapping_to_dict(table):
+    """Writer: the mapping JSON that ``load_mapping`` reads back."""
+    return {
+        "pairs": [
+            {"left": left.name, "right": right.name, "token": token.name}
+            for (left, right), token in table.pairs.items()
+        ]
+    }
 
 
 def pair_stream(plan, start_frame=0):
