@@ -11,7 +11,10 @@ max of R, G and B reaches the V floor, and keeps each blurred channel as its
 own plane. V and S come from plane-wise max/min inside that box; hue, the
 costly part, is computed only for the pixels whose S and V already lie inside
 the range, with the same per-pixel expressions as a whole-image conversion, so
-the mask equals a threshold of the full HSV image bit for bit.
+the mask equals a threshold of the full HSV image bit for bit. Connected
+components are labelled only inside the bounding box of the mask's True
+pixels, which keeps the labels' raster order, so the regions equal those of
+labelling the whole frame.
 
 Recognizers are pluggable callables ``(frame, frame_index) -> GesturePairToken``
 so a learned detector can replace the shape pipeline later. Two ship here:
@@ -31,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import ConvexHull, QhullError
 
 from . import kernels
 from .core import BoundingBox, Frame, ValidationError, read_fields, read_json
@@ -177,16 +179,19 @@ def _hull_pixel_count(xs: np.ndarray, ys: np.ndarray) -> int:
     vertices are pixels, so Pick's theorem gives the count exactly from twice
     the area (integer shoelace) and the boundary points (gcd of each edge).
     """
-    first = np.flatnonzero(np.diff(ys, prepend=ys[0] - 1))
-    last = np.append(first[1:], len(ys)) - 1
-    idx = np.concatenate([first, last])
+    # deferred: only the shape recognizer pays for importing qhull
+    from scipy.spatial import ConvexHull, QhullError
+
+    step = np.flatnonzero(ys[1:] != ys[:-1])  # last pixel of every row but the bottom one
+    idx = np.concatenate([[0], step + 1, step, [len(ys) - 1]])  # row firsts, then row lasts
     ends = np.column_stack([xs[idx], ys[idx]])
     try:
         hull = ConvexHull(ends)
     except QhullError:
         return len(xs)  # degenerate: one pixel, one row or a collinear region
-    x, y = ends[hull.vertices].T
-    dx, dy = np.roll(x, -1) - x, np.roll(y, -1) - y
+    ring = ends[hull.vertices]
+    ring = np.concatenate([ring, ring[:1]])  # closed: the first vertex again at the end
+    (x, y), (dx, dy) = ring[:-1].T, (ring[1:] - ring[:-1]).T
     twice_area = abs(int(np.sum(x * dy - y * dx)))
     boundary = int(np.gcd(dx, dy).sum())
     return (twice_area + boundary) // 2 + 1
@@ -199,9 +204,9 @@ def shape_descriptor(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     bh = ys.max() - ys.min() + 1
     extent = area / (bw * bh)
 
-    mxx = np.var(xs)
-    myy = np.var(ys)
-    mxy = np.mean((xs - xs.mean()) * (ys - ys.mean()))
+    # the central moments with the float operations of np.var, each mean taken once
+    dx, dy = xs - xs.mean(), ys - ys.mean()
+    mxx, myy, mxy = np.mean(dx * dx), np.mean(dy * dy), np.mean(dx * dy)
     half_tr = (mxx + myy) / 2.0
     det_root = math.sqrt(((mxx - myy) / 2.0) ** 2 + mxy**2)
     lam1 = half_tr + det_root
@@ -233,18 +238,29 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 MIN_HAND_AREA = 100  # pixels; a smaller skin region is not a hand
 
 
-def extract_regions(mask: np.ndarray, min_area: int = 100) -> list[Region]:
-    """8-connected components of a bool mask, largest (then leftmost) first."""
-    labeled, count = ndimage.label(mask, structure=_EIGHT_CONNECTED)
+def extract_regions(mask: np.ndarray, min_area: int = MIN_HAND_AREA) -> list[Region]:
+    """8-connected components of a bool mask, largest (then leftmost) first.
+
+    Labelling runs inside the bounding box of the mask's True pixels. Labels
+    number components in raster order of their first pixel, within the box as
+    within the frame, so the regions and their order are those of labelling
+    the whole mask.
+    """
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return []
+    cols = np.flatnonzero(mask.any(axis=0))
+    y0, x0 = rows[0], cols[0]
+    labeled, _ = ndimage.label(
+        mask[y0 : rows[-1] + 1, x0 : cols[-1] + 1], structure=_EIGHT_CONNECTED
+    )
     regions = []
     for index, slc in enumerate(ndimage.find_objects(labeled), start=1):
-        if slc is None:
-            continue
         local = labeled[slc] == index
-        if local.sum() < min_area:
+        if np.count_nonzero(local) < min_area:
             continue
         ys, xs = np.nonzero(local)
-        regions.append(region_from_pixels(xs + slc[1].start, ys + slc[0].start))
+        regions.append(region_from_pixels(xs + (x0 + slc[1].start), ys + (y0 + slc[0].start)))
     regions.sort(key=lambda r: (-r.area, r.centroid[0]))
     return regions
 
@@ -324,11 +340,13 @@ def match_gesture(
     if not bank:
         raise ValidationError("template bank is empty")
 
-    def distance(cls: GestureClass) -> float:
-        return float(np.linalg.norm(region.descriptor - bank[cls]))
-
-    best = min((cls for cls in GestureClass if cls in bank), key=distance)  # enum order breaks ties
-    return best, 1.0 / (1.0 + distance(best))
+    distances = [
+        (float(np.linalg.norm(region.descriptor - bank[cls])), cls)
+        for cls in GestureClass
+        if cls in bank
+    ]
+    distance, best = min(distances, key=lambda d: d[0])  # min keeps the first: enum order breaks ties
+    return best, 1.0 / (1.0 + distance)
 
 
 @dataclass(frozen=True)

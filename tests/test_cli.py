@@ -377,3 +377,10 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "diverkit" in capsys.readouterr().out
+
+
+def test_import_leaves_qhull_unloaded():
+    # only the shape recognizer's hull needs scipy.spatial, so it imports it on first use
+    code = "import sys, diverkit.cli; print('scipy.spatial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "False\n", proc.stderr

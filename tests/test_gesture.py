@@ -158,6 +158,15 @@ def skin_cases(draw):
     return frame, sigma, hsv_range
 
 
+def noisy_study_frames(seed):
+    """The study scene's 260 frames rendered from ``seed`` with noise 10 and jitter 3."""
+    raw = resources.files("diverkit").joinpath(
+        "data", "experiments", "study_instructions.json"
+    ).read_text()
+    scene = dict(json.loads(raw)["scene"], noise_sigma=10.0, jitter=3, seed=seed)
+    return synth.render_gesture_sequence(synth.GestureSceneSpec.from_dict(scene))[0]
+
+
 class TestSkinMaskEquality:
     @settings(max_examples=300, deadline=None)
     @given(skin_cases())
@@ -168,11 +177,7 @@ class TestSkinMaskEquality:
         assert np.array_equal(got, hsv_range.contains(*stacked_hsv(frame, sigma)))
 
     def test_matches_on_noisy_study_scene(self):
-        raw = resources.files("diverkit").joinpath(
-            "data", "experiments", "study_instructions.json"
-        ).read_text()
-        scene = dict(json.loads(raw)["scene"], noise_sigma=10.0, jitter=3)
-        frames, _ = synth.render_gesture_sequence(synth.GestureSceneSpec.from_dict(scene))
+        frames = noisy_study_frames(seed=5)
         hsv_range, _ = load_gesture_config()
         mismatched = [
             f.index
@@ -336,6 +341,75 @@ class TestRegions:
         assert len(regions) == 1
 
 
+def full_frame_regions(mask, min_area):
+    """Oracle: ``extract_regions`` labelling the whole frame, not the mask's box."""
+    labeled, _ = ndimage.label(mask, structure=np.ones((3, 3), bool))
+    regions = []
+    for index, slc in enumerate(ndimage.find_objects(labeled), start=1):
+        local = labeled[slc] == index
+        if local.sum() < min_area:
+            continue
+        ys, xs = np.nonzero(local)
+        regions.append(region_from_pixels(xs + slc[1].start, ys + slc[0].start))
+    regions.sort(key=lambda r: (-r.area, r.centroid[0]))
+    return regions
+
+
+def assert_same_regions(got, want):
+    """Same order, boxes, centroids and areas, and bit-equal descriptors."""
+    assert [(r.bbox, r.centroid, r.area) for r in got] == [
+        (r.bbox, r.centroid, r.area) for r in want
+    ]
+    assert all(np.array_equal(a.descriptor, b.descriptor) for a, b in zip(got, want))
+
+
+@st.composite
+def component_masks(draw):
+    """A mask of random components placed anywhere, often on an edge or a corner:
+    filled and ragged blocks, single pixels, diagonal pixel chains and blocks that
+    touch only at a corner; or an empty or all-True mask."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    fill = draw(st.sampled_from([None, None, None, False, True]))
+    if fill is not None:
+        return np.full((h, w), fill)
+    mask = np.zeros((h, w), bool)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["block", "ragged", "pixel", "chain", "corners"]))
+        bh, bw = (1, 1) if kind == "pixel" else (draw(st.integers(1, h)), draw(st.integers(1, w)))
+        y = draw(st.sampled_from([0, h - bh]) | st.integers(0, h - bh))  # an edge, or anywhere
+        x = draw(st.sampled_from([0, w - bw]) | st.integers(0, w - bw))
+        box = mask[y : y + bh, x : x + bw]
+        if kind == "ragged":
+            box |= rng.random((bh, bw)) < 0.6
+        elif kind == "chain":  # pixels that touch only diagonally, either way
+            n = min(bh, bw)
+            box[np.arange(n), np.arange(n)[:: draw(st.sampled_from([1, -1]))]] = True
+        elif kind == "corners":  # top-left and bottom-right quarters meet at one corner
+            box[: bh // 2, : bw // 2] = True
+            box[bh // 2 :, bw // 2 :] = True
+        else:
+            box[:] = True
+    return mask
+
+
+class TestRegionsInTheMaskBox:
+    @settings(max_examples=300, deadline=None)
+    @given(component_masks(), st.sampled_from([1, 100]))
+    def test_matches_full_frame_labelling(self, mask, min_area):
+        assert_same_regions(extract_regions(mask, min_area), full_frame_regions(mask, min_area))
+
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_matches_on_noisy_study_scene(self, seed):
+        hsv_range, _ = load_gesture_config()
+        for frame in noisy_study_frames(seed):
+            mask = segment_skin(frame, hsv_range)
+            for min_area in (1, 100):
+                assert_same_regions(
+                    extract_regions(mask, min_area), full_frame_regions(mask, min_area)
+                )
+
+
 def cross(o, a, b):
     """z of (a - o) x (b - o); positive when o, a, b turn counter-clockwise."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -380,6 +454,32 @@ def largest_components(draw):
     sizes = np.bincount(labeled.ravel())[1:]
     ys, xs = np.nonzero(labeled == 1 + int(np.argmax(sizes)))
     return xs, ys
+
+
+def var_descriptor(xs, ys):
+    """Oracle: the shape descriptor with its second moments from ``np.var``."""
+    area = len(xs)
+    extent = area / ((xs.max() - xs.min() + 1) * (ys.max() - ys.min() + 1))
+    mxx, myy = np.var(xs), np.var(ys)
+    mxy = np.mean((xs - xs.mean()) * (ys - ys.mean()))
+    half_tr = (mxx + myy) / 2.0
+    det_root = math.sqrt(((mxx - myy) / 2.0) ** 2 + mxy**2)
+    lam1, lam2 = half_tr + det_root, max(half_tr - det_root, 0.0)
+    ecc = math.sqrt(1.0 - lam2 / lam1) if lam1 > 0 else 0.0
+    return np.array([extent, ecc, area / gesture._hull_pixel_count(xs, ys)])
+
+
+class TestShapeDescriptor:
+    @settings(max_examples=100, deadline=None)
+    @given(largest_components())
+    def test_matches_var_form(self, component):
+        xs, ys = component
+        assert np.array_equal(gesture.shape_descriptor(xs, ys), var_descriptor(xs, ys))
+
+    @pytest.mark.parametrize("cls", list(GestureClass))
+    def test_matches_var_form_on_hand_silhouettes(self, cls):
+        ys, xs = np.nonzero(synth.hand_mask(cls))
+        assert np.array_equal(gesture.shape_descriptor(xs, ys), var_descriptor(xs, ys))
 
 
 class TestHullPixelCount:
