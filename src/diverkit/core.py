@@ -144,13 +144,12 @@ def window_center(grid: GridConfig, i: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Axis-aligned box given by center, size and a detection score."""
+    """Axis-aligned box given by center and size."""
 
     cx: float
     cy: float
     w: float
     h: float
-    score: float = 0.0
 
     def __post_init__(self):
         if self.w <= 0 or self.h <= 0:

@@ -29,15 +29,13 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
 from . import kernels
-from .core import BoundingBox, Frame, ValidationError, read_fields, read_json
-from .core import fields, finite, integer, listof, nested, optional  # table helpers, converters
+from .core import BoundingBox, Frame, ValidationError, read_fields
+from .core import fields, finite, integer, optional  # table helper, converters
 
 
 class GestureClass(Enum):
@@ -96,6 +94,10 @@ class HsvRange:
             & (v >= self.v[0])
             & (v <= self.v[1])
         )
+
+
+# the skin tones that synth renders hands in, after the blur
+SKIN_HSV = HsvRange(h=(5.0, 45.0), s=(0.15, 0.6), v=(0.5, 1.0))
 
 
 def _value_saturation(r, g, b):
@@ -426,19 +428,19 @@ def recognize_pair(
 
 
 # ---------------------------------------------------------------------------
-# recognizers and configuration
+# recognizers
 # ---------------------------------------------------------------------------
 
 
 class ShapeRecognizer:
-    """Stateful shape-pipeline recognizer (one region cache per stream)."""
+    """Stateful shape-pipeline recognizer (one region cache per stream).
 
-    def __init__(self, bank: TemplateBank | None = None, hsv_range: HsvRange | None = None):
-        if bank is None or hsv_range is None:
-            default_hsv, default_bank = load_gesture_config()
-            bank = bank if bank is not None else default_bank
-            hsv_range = hsv_range if hsv_range is not None else default_hsv
-        self.bank = bank
+    Without a ``bank``, the templates are :func:`build_default_bank`'s, built
+    here rather than at import so that importing the package stays cheap.
+    """
+
+    def __init__(self, bank: TemplateBank | None = None, hsv_range: HsvRange = SKIN_HSV):
+        self.bank = build_default_bank() if bank is None else bank
         self.hsv_range = hsv_range
         self.cache = RegionCache()
 
@@ -493,25 +495,3 @@ def build_default_bank() -> TemplateBank:
         bank[cls] = shape_descriptor(xs, ys)
     return bank
 
-
-# gesture config JSON key -> (field, converter); templates are keyed by class name
-_HSV_KEYS = fields(("h", "s", "v"), listof(finite, 2))
-_DESCRIPTOR = listof(finite, 3)
-_TEMPLATE_KEYS = {cls.name: (cls, lambda desc: np.array(_DESCRIPTOR(desc))) for cls in GestureClass}
-_GESTURE_CONFIG_KEYS = {
-    "hsv": ("hsv", nested(HsvRange, _HSV_KEYS, "gesture config hsv", ("h", "s", "v"))),
-    "templates": (
-        "templates", lambda raw: read_fields(raw, _TEMPLATE_KEYS, "gesture config templates")
-    ),
-}
-
-
-def parse_gesture_config(raw: dict) -> tuple[HsvRange, TemplateBank]:
-    config = read_fields(raw, _GESTURE_CONFIG_KEYS, "gesture config", ("hsv", "templates"))
-    return config["hsv"], config["templates"]
-
-
-def load_gesture_config(path: str | Path | None = None) -> tuple[HsvRange, TemplateBank]:
-    """Load ``gesture.json``; without a path, the packaged default."""
-    source = resources.files("diverkit").joinpath("data", "gesture.json") if path is None else path
-    return parse_gesture_config(read_json(source, "gesture config"))

@@ -130,9 +130,6 @@ class MappingTable:
                 return pair
         raise ValidationError(f"token {token.name} is not mapped")
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
 
 def _pair_name(pair: Pair) -> str:
     return f"({pair[0].name}, {pair[1].name})"

@@ -19,10 +19,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, astuple, dataclass, field
-from importlib import resources
 from pathlib import Path
 
-from .core import BoundingBox, ValidationError, read_fields, read_json, to_json
+from .core import BoundingBox, ValidationError, read_fields, read_json
 from .core import fields, finite, nested  # table helpers, converters
 
 MISS_DECAY = 0.8
@@ -92,7 +91,6 @@ class RobotState:
     z: float = 0.0
     yaw: float = 0.0
     pitch: float = 0.0
-    time: float = 0.0
 
 
 @dataclass
@@ -111,9 +109,6 @@ class ServoConfig:
         if self.v_max <= 0 or self.omega_max <= 0:
             raise ValidationError("speed scales must be positive")
 
-    def to_dict(self) -> dict:
-        return to_json(self)
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ServoConfig":
         return cls(**read_fields(raw, _SERVO_KEYS, "gains"))
@@ -131,9 +126,8 @@ _SERVO_KEYS = {
 
 
 def load_gains(path: str | Path | None = None) -> ServoConfig:
-    """Load a gains file; without a path, the packaged default."""
-    source = resources.files("diverkit").joinpath("data", "gains.json") if path is None else path
-    return ServoConfig.from_dict(read_json(source, "gains"))
+    """Load a gains file; without a path, the default ``ServoConfig()``."""
+    return ServoConfig() if path is None else ServoConfig.from_dict(read_json(path, "gains"))
 
 
 class PidBank:
@@ -147,13 +141,11 @@ class PidBank:
         self.forward = Pid(self.config.forward)
 
 
-def bbox_error(
-    bbox: BoundingBox, frame_w: int, frame_h: int, target_area_fraction: float
-) -> tuple[float, float, float]:
+def bbox_error(bbox: BoundingBox, target_area_fraction: float) -> tuple[float, float, float]:
     """(ex, ey, ea): center offsets normalized to half-frame, plus the area gap."""
-    ex = (bbox.cx - frame_w / 2.0) / (frame_w / 2.0)
-    ey = (bbox.cy - frame_h / 2.0) / (frame_h / 2.0)
-    ea = target_area_fraction - bbox.area / (frame_w * frame_h)
+    ex = (bbox.cx - FRAME_W / 2.0) / (FRAME_W / 2.0)
+    ey = (bbox.cy - FRAME_H / 2.0) / (FRAME_H / 2.0)
+    ea = target_area_fraction - bbox.area / (FRAME_W * FRAME_H)
     return ex, ey, ea
 
 
@@ -188,7 +180,6 @@ def kinematic_step(
         z=state.z + step * math.sin(pitch) + cmd.vertical_speed * v_max * dt,
         yaw=yaw,
         pitch=pitch,
-        time=state.time + dt,
     )
 
 
@@ -246,8 +237,8 @@ class FollowLogRow:
     detected: bool
 
     def to_csv_row(self) -> list:
-        # the state without its time, the errors (blank on a miss), the command
-        values = (*astuple(self.state)[:5], *(self.errors or (None,) * 3), *astuple(self.cmd))
+        # the state, the errors (blank on a miss), the command
+        values = (*astuple(self.state), *(self.errors or (None,) * 3), *astuple(self.cmd))
         cells = ("" if v is None else f"{v:.6f}" for v in values)
         return [f"{self.t:.3f}", *cells, int(self.detected)]
 
@@ -277,7 +268,7 @@ def follow_loop(
     for k in range(steps):
         bbox = detector(state)
         if bbox is not None:
-            errors = bbox_error(bbox, FRAME_W, FRAME_H, cfg.target_area_fraction)
+            errors = bbox_error(bbox, cfg.target_area_fraction)
             cmd = servo_step(errors, bank, dt)
         else:
             errors = None

@@ -119,9 +119,6 @@ class DiverSceneSpec:
         phase = 2.0 * math.pi * self.flipper.frequency * t / self.fps
         return self.flipper.intensity + self.flipper.amplitude * math.sin(phase)
 
-    def to_dict(self) -> dict:
-        return to_json(self)
-
     @classmethod
     def from_dict(cls, raw: dict) -> "DiverSceneSpec":
         return cls(**read_fields(raw, _DIVER_KEYS, "diver scene spec"))
@@ -333,9 +330,6 @@ class GestureSceneSpec:
                 )
             t -= seg.frames
         raise ValidationError(f"frame {t} beyond the segment plan")
-
-    def to_dict(self) -> dict:
-        return to_json(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GestureSceneSpec":

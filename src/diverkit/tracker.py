@@ -266,13 +266,11 @@ class Tracker:
         # highest band score wins; a tie goes to the lower terminal window
         best = min(range(len(trajs)), key=lambda k: (-pool_scores[k][1], pool_scores[k][0]))
         window, best_score = pool_scores[best]
-        cx, cy = window_center(grid, window)
-        bbox = BoundingBox(cx, cy, grid.window_w, grid.window_h, best_score)
         return DetectionResult(
             trajectory=trajs[best],
             score=best_score,
             detected=best_score >= cfg.delta,
-            bbox=bbox,
+            bbox=BoundingBox(*window_center(grid, window), grid.window_w, grid.window_h),
             cycle_index=cycle_index,
             pool_scores=pool_scores,
         )
@@ -296,12 +294,17 @@ def track_sequence(
 
     ``frames`` may be any iterable, such as :func:`raster.iter_sequence`. Each
     frame is reduced to its evidence row as it arrives, so only the (n, M)
-    evidence matrix is held, never the frames.
+    evidence matrix is held, never the frames. The first frame's ``fps`` must
+    equal ``cfg.fps``, as the swim-gait band's DFT bins are computed for it.
     """
     frames = iter(frames)
     first = next(frames, None)
     if first is None:
         raise ValidationError("cannot track an empty sequence")
+    if first.fps != cfg.fps:
+        raise ValidationError(
+            f"the sequence runs at {first.fps} fps but the tracker config is for {cfg.fps} fps"
+        )
     tracker = Tracker(cfg, first.width, first.height)
     if counters is not None:
         tracker.counters = counters

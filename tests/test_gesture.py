@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from diverkit import gesture, kernels, synth
-from diverkit.core import Frame, ValidationError, to_json
+from diverkit.core import Frame, ValidationError
 from diverkit.gesture import (
     CacheEntry,
     GestureClass,
+    SKIN_HSV,
     GesturePairToken,
     HsvRange,
     OracleRecognizer,
@@ -20,16 +21,12 @@ from diverkit.gesture import (
     ShapeRecognizer,
     build_default_bank,
     extract_regions,
-    load_gesture_config,
     match_gesture,
     recognize_pair,
     region_from_pixels,
     reject_outliers,
     segment_skin,
 )
-
-SKIN_HSV = HsvRange(h=(5.0, 45.0), s=(0.15, 0.6), v=(0.5, 1.0))
-
 
 def solid_frame(color, w=320, h=240):
     img = np.empty((h, w, 3))
@@ -40,14 +37,6 @@ def solid_frame(color, w=320, h=240):
 def disk_mask(h, w, cx, cy, r):
     ys, xs = np.ogrid[:h, :w]
     return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
-
-
-def gesture_config_to_dict(hsv_range, bank):
-    """Writer: the gesture config JSON that ``load_gesture_config`` reads back."""
-    return {
-        "hsv": to_json(hsv_range),
-        "templates": {cls.name: [float(v) for v in desc] for cls, desc in bank.items()},
-    }
 
 
 def rgb_to_hsv(rgb):
@@ -178,13 +167,10 @@ class TestSkinMaskEquality:
 
     def test_matches_on_noisy_study_scene(self):
         frames = noisy_study_frames(seed=5)
-        hsv_range, _ = load_gesture_config()
         mismatched = [
             f.index
             for f in frames
-            if not np.array_equal(
-                segment_skin(f, hsv_range), hsv_range.contains(*stacked_hsv(f))
-            )
+            if not np.array_equal(segment_skin(f, SKIN_HSV), SKIN_HSV.contains(*stacked_hsv(f)))
         ]
         assert len(frames) == 260 and mismatched == []
 
@@ -401,9 +387,8 @@ class TestRegionsInTheMaskBox:
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_matches_on_noisy_study_scene(self, seed):
-        hsv_range, _ = load_gesture_config()
         for frame in noisy_study_frames(seed):
-            mask = segment_skin(frame, hsv_range)
+            mask = segment_skin(frame, SKIN_HSV)
             for min_area in (1, 100):
                 assert_same_regions(
                     extract_regions(mask, min_area), full_frame_regions(mask, min_area)
@@ -670,30 +655,11 @@ class TestRecognizers:
 
 
 class TestConfig:
-    def test_packaged_config_matches_computed_bank(self):
-        hsv, bank = load_gesture_config()
-        computed = build_default_bank()
-        assert set(bank) == set(computed)
-        for cls in computed:
-            assert bank[cls] == pytest.approx(computed[cls], abs=1e-9)
-        assert hsv == SKIN_HSV
-
-    def test_config_roundtrip(self, tmp_path):
-        import json
-
-        hsv, bank = load_gesture_config()
-        path = tmp_path / "gesture.json"
-        path.write_text(json.dumps(gesture_config_to_dict(hsv, bank)))
-        hsv2, bank2 = load_gesture_config(path)
-        assert hsv2 == hsv
-        for cls in bank:
-            assert bank2[cls] == pytest.approx(bank[cls])
-
-    def test_malformed_config_rejected(self, tmp_path):
-        path = tmp_path / "gesture.json"
-        path.write_text('{"hsv": {"h": [0, 60]}}')
-        with pytest.raises(ValidationError):
-            load_gesture_config(path)
+    def test_default_recognizer_uses_the_silhouette_bank(self):
+        rec, computed = ShapeRecognizer(), build_default_bank()
+        assert list(rec.bank) == list(computed) == list(GestureClass)
+        assert all(rec.bank[cls].tobytes() == computed[cls].tobytes() for cls in computed)
+        assert rec.hsv_range == SKIN_HSV
 
     def test_token_confidence_invariant(self):
         with pytest.raises(ValidationError):

@@ -33,7 +33,7 @@ def fake_result(cycle, window, score, detected, grid):
         trajectory=traj,
         score=score,
         detected=detected,
-        bbox=BoundingBox(cx, cy, 30, 30, score),
+        bbox=BoundingBox(cx, cy, 30, 30),
         cycle_index=cycle,
     )
 

@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diverkit.cli import main
-from diverkit.core import TrackerConfig, ValidationError
-from diverkit.gesture import GestureClass, GesturePairToken, parse_gesture_config
+from diverkit.core import TrackerConfig, ValidationError, to_json
+from diverkit.gesture import GestureClass, GesturePairToken
 from diverkit.lang import DEBOUNCE_FRAMES, Token, load_mapping, mapping_from_dict
 from diverkit.servo import FollowScene, ServoConfig
 from diverkit.synth import DiverSceneSpec, GestureSceneSpec, GestureSegment, GroundTruth
@@ -133,6 +133,12 @@ CASES = {
          **{f"seq/frame_{i:06d}.pgm": BLACK_PGM for i in range(15)}},
         ["track", "--seq", "{d}/seq"],
     ),
+    "track-fps-mismatch": (  # the default tracker config is for 10 fps
+        {"seq/manifest.json": {"fps": 20.0, "width": 90, "height": 60, "channels": 1,
+                               "frame_count": 15},
+         **{f"seq/frame_{i:06d}.pgm": BLACK_PGM for i in range(15)}},
+        ["track", "--seq", "{d}/seq"],
+    ),
     "decode-oracle-missing-seq-dir": ({}, ["decode", "--seq", "{d}/nowhere"]),
     "decode-shape-missing-seq-dir": (
         {}, ["decode", "--seq", "{d}/nowhere", "--recognizer", "shape"]
@@ -234,6 +240,7 @@ def test_malformed_input_exits_with_one_error_line(case, tmp_path, diver_seq, ca
         ("track-missing-seq-dir", 2),
         ("track-pgm-trailing-bytes", 2),
         ("track-manifest-fps-zero", 1),
+        ("track-fps-mismatch", 1),
         *((case, 1) for case in RANGE_CASES),
     ],
 )
@@ -247,6 +254,7 @@ def test_exit_code_tells_validation_from_io(case, code, tmp_path, diver_seq, cap
     [
         ("gains-output-clamp-above-one", "output_clamp"),
         ("track-manifest-fps-zero", "'fps'"),
+        ("track-fps-mismatch", "20.0 fps"),
         *RANGE_CASES.items(),
     ],
 )
@@ -379,7 +387,6 @@ LOADERS = [
     ServoConfig.from_dict,
     mapping_from_dict,
     GesturePairToken.from_record,
-    parse_gesture_config,
     FollowScene.from_dict,
     GroundTruth.from_dict,
 ]
@@ -390,10 +397,10 @@ KEYS = (
     "background noise_sigma flipper path start seed radius intensity amplitude "
     "frequency kind vx vy period segments left right skin jitter yaw pitch vertical "
     "forward kp ki kd integral_clamp output_clamp target_area_fraction v_max omega_max "
-    "offset_x offset_y duration_s distance_ratio pairs token frame conf_l conf_r hsv "
-    "templates h s v zero one five ok centers windows gesture_labels"
+    "offset_x offset_y duration_s distance_ratio pairs token frame conf_l conf_r centers "
+    "windows gesture_labels"
 ).split()
-WORDS = KEYS + "sinusoid straight sideways static STOP GO DIGIT_3 DIGIT_9 pic".split()
+WORDS = KEYS + "sinusoid straight sideways static STOP GO DIGIT_3 DIGIT_9 zero one five ok pic".split()
 
 # Numbers are bounded: an integral float reads as an integer, and a frame count or
 # slide size of 1e12 is a valid request whose checks alone take that many steps.
@@ -425,12 +432,11 @@ def packaged(name: str) -> dict:
 # one valid input per loader, to be damaged at any depth
 VALID = [
     TrackerConfig().to_dict(),
-    DiverSceneSpec().to_dict(),
-    GestureSceneSpec(segments=(GestureSegment(GestureClass.one, None, 3),)).to_dict(),
-    ServoConfig().to_dict(),
+    to_json(DiverSceneSpec()),
+    to_json(GestureSceneSpec(segments=(GestureSegment(GestureClass.one, None, 3),))),
+    to_json(ServoConfig()),
     packaged("mapping.json"),
     GesturePairToken(GestureClass.ok, None, 4, conf_left=0.5).to_record(),
-    packaged("gesture.json"),
     {"offset_x": 0.3, "offset_y": -0.1, "duration_s": 2.0, "fps": 10.0, "distance_ratio": 1.0},
     {"centers": [[1.0, 2.0]], "windows": [3], "gesture_labels": [["one", None]]},
 ]

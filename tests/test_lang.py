@@ -105,7 +105,7 @@ class TestTokens:
 
 class TestMapping:
     def test_shipped_default_loads(self):
-        assert len(TABLE) == 20  # 14 word tokens + 6 digits
+        assert len(TABLE.pairs) == 20  # 14 word tokens + 6 digits
 
     def test_one_to_one_enforced(self):
         raw = {

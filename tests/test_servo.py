@@ -4,7 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from diverkit.core import BoundingBox, ValidationError
+from diverkit.core import BoundingBox, ValidationError, to_json
 from diverkit.servo import (
     MISS_DECAY,
     FollowWorld,
@@ -27,19 +27,19 @@ from diverkit.servo import (
 class TestBboxError:
     def test_centered_at_target_area(self):
         bbox = BoundingBox(160, 120, 87.6356, 87.6356)  # ~10% of 320x240
-        ex, ey, ea = bbox_error(bbox, 320, 240, 0.1)
+        ex, ey, ea = bbox_error(bbox, 0.1)
         assert ex == 0.0 and ey == 0.0
         assert ea == pytest.approx(0.0, abs=1e-6)
 
     def test_right_edge_is_plus_one(self):
         bbox = BoundingBox(320, 120, 10, 10)
-        ex, _, _ = bbox_error(bbox, 320, 240, 0.1)
+        ex, _, _ = bbox_error(bbox, 0.1)
         assert ex == pytest.approx(1.0)
 
     def test_half_target_area(self):
         area = 0.05 * 320 * 240
         side = math.sqrt(area)
-        _, _, ea = bbox_error(BoundingBox(160, 120, side, side), 320, 240, 0.1)
+        _, _, ea = bbox_error(BoundingBox(160, 120, side, side), 0.1)
         assert ea == pytest.approx(0.05)
 
 
@@ -109,11 +109,9 @@ class TestServoStep:
 
 
 class TestKinematics:
-    def test_zero_command_only_advances_time(self):
-        s0 = RobotState(x=1, y=2, z=3, yaw=0.5, pitch=0.1, time=0.0)
-        s1 = kinematic_step(s0, ServoCommand(), 0.25, v_max=1.0, omega_max=math.pi / 4)
-        assert (s1.x, s1.y, s1.z, s1.yaw, s1.pitch) == (1, 2, 3, 0.5, 0.1)
-        assert s1.time == 0.25
+    def test_zero_command_keeps_the_state(self):
+        s0 = RobotState(x=1, y=2, z=3, yaw=0.5, pitch=0.1)
+        assert kinematic_step(s0, ServoCommand(), 0.25, v_max=1.0, omega_max=math.pi / 4) == s0
 
     def test_forward_one_second(self):
         s1 = kinematic_step(
@@ -150,7 +148,7 @@ class TestFollowLoop:
         config = ServoConfig()
         world = make_offset_world(0.3, 0.0, config)
         bbox = world.observe(RobotState())
-        ex, ey, _ = bbox_error(bbox, 320, 240, config.target_area_fraction)
+        ex, ey, _ = bbox_error(bbox, config.target_area_fraction)
         assert ex == pytest.approx(0.3, abs=1e-6)
         assert ey == pytest.approx(0.0, abs=1e-6)
 
@@ -193,6 +191,7 @@ class TestFollowLoop:
 class TestGainsConfig:
     def test_packaged_defaults_load(self):
         config = load_gains()
+        assert config == ServoConfig()
         assert config.yaw.kp == pytest.approx(0.8)
         assert config.forward.kp == pytest.approx(1.5)
         assert config.vertical.kp == pytest.approx(0.3)
@@ -203,7 +202,7 @@ class TestGainsConfig:
 
         config = ServoConfig()
         path = tmp_path / "gains.json"
-        path.write_text(json.dumps(config.to_dict()))
+        path.write_text(json.dumps(to_json(config)))
         assert load_gains(path) == config
 
     def test_dict_roundtrip_keeps_custom_clamps(self):
@@ -212,7 +211,7 @@ class TestGainsConfig:
             forward=PidGains(kp=1.0, ki=0.2, output_clamp=0.75),
             v_max=2.0,
         )
-        raw = config.to_dict()
+        raw = to_json(config)
         assert raw["yaw"] == {"kp": 0.5, "ki": 0.0, "kd": 0.0, "integral_clamp": 0.25,
                               "output_clamp": 0.5}
         assert ServoConfig.from_dict(raw) == config

@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage
 
 from diverkit import synth
-from diverkit.core import GridConfig, ValidationError
+from diverkit.core import GridConfig, ValidationError, to_json
 from diverkit.gesture import GestureClass
 from diverkit.synth import (
     DiverSceneSpec,
@@ -113,11 +113,11 @@ class TestDiverScene:
 
     def test_spec_dict_roundtrip(self):
         spec = self.spec(path=PathSpec("straight", vx=1.0, vy=0.5), noise_sigma=2.0)
-        assert DiverSceneSpec.from_dict(spec.to_dict()) == spec
+        assert DiverSceneSpec.from_dict(to_json(spec)) == spec
 
     def test_sinusoid_spec_dict_roundtrip(self):
         spec = self.spec(path=PathSpec("sinusoid", amplitude=10.0, period=20.0), seed=4)
-        raw = spec.to_dict()
+        raw = to_json(spec)
         assert raw["path"] == {"kind": "sinusoid", "vx": 0.0, "vy": 0.0, "amplitude": 10.0,
                                "period": 20.0}
         assert DiverSceneSpec.from_dict(raw) == spec
@@ -132,7 +132,7 @@ class TestDiverScene:
             assert GroundTruth.from_dict(value.to_dict()).to_dict() == value.to_dict()
 
     def test_spec_dict_numbers_are_converted(self):
-        raw = dict(self.spec(noise_sigma=2.0).to_dict(), background=60, fps=10)
+        raw = dict(to_json(self.spec(noise_sigma=2.0)), background=60, fps=10)
         raw["flipper"] = dict(raw["flipper"], radius=10)
         spec = DiverSceneSpec.from_dict(raw)
         assert type(spec.background) is float and type(spec.flipper.radius) is float
@@ -154,7 +154,7 @@ class TestDiverScene:
         ],
     )
     def test_spec_dict_wrongly_typed_rejected(self, change, key):
-        raw = dict(self.spec().to_dict(), **change)
+        raw = dict(to_json(self.spec()), **change)
         with pytest.raises(ValidationError, match=key):
             DiverSceneSpec.from_dict(raw)
 
@@ -268,11 +268,11 @@ class TestGestureScene:
             jitter=2,
             seed=9,
         )
-        assert GestureSceneSpec.from_dict(spec.to_dict()) == spec
+        assert GestureSceneSpec.from_dict(to_json(spec)) == spec
 
     def test_one_hand_spec_dict_roundtrip(self):
         spec = self.spec(segments=(GestureSegment(None, GestureClass.five, 3),))
-        raw = spec.to_dict()
+        raw = to_json(spec)
         assert raw["segments"] == [{"left": None, "right": "five", "frames": 3}]
         assert GestureSceneSpec.from_dict(raw) == spec
 
@@ -304,7 +304,7 @@ class TestGestureScene:
         ],
     )
     def test_spec_dict_wrongly_typed_rejected(self, change, key):
-        raw = dict(self.spec().to_dict(), **change)
+        raw = dict(to_json(self.spec()), **change)
         with pytest.raises(ValidationError, match=key):
             GestureSceneSpec.from_dict(raw)
 
