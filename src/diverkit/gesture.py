@@ -16,6 +16,10 @@ components are labelled only inside the bounding box of the mask's True
 pixels, which keeps the labels' raster order, so the regions equal those of
 labelling the whole frame.
 
+Of the toolkit, only this shape pipeline loads scipy: its blur, labelling and
+convex hull import ``scipy.ndimage`` and ``scipy.spatial`` on first use, so the
+tracker, the follow loop and the oracle recognizer run on numpy alone.
+
 Recognizers are pluggable callables ``(frame, frame_index) -> GesturePairToken``
 so a learned detector can replace the shape pipeline later. Two ship here:
 ``ShapeRecognizer`` (the pipeline above) and ``OracleRecognizer`` (replays
@@ -31,7 +35,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import ndimage
 
 from . import kernels
 from .core import BoundingBox, Frame, ValidationError, read_fields
@@ -248,6 +251,9 @@ def extract_regions(mask: np.ndarray, min_area: int = MIN_HAND_AREA) -> list[Reg
     within the frame, so the regions and their order are those of labelling
     the whole mask.
     """
+    # deferred, like the hull's qhull: the other pipelines never load scipy
+    from scipy import ndimage
+
     rows = np.flatnonzero(mask.any(axis=1))
     if rows.size == 0:
         return []

@@ -1,8 +1,11 @@
 """Numeric kernels shared by the tracker and the scene pipeline.
 
-numpy plus ``scipy.ndimage``: the Gaussian blur of the gesture path, the blur
-matrix the tracker folds into its evidence projections, one Viterbi table
-update and a direct DFT. All return float64 arrays and are deterministic.
+The Gaussian blur of the gesture path, the blur matrix the tracker folds into
+its evidence projections, one Viterbi table update and a direct DFT. All return
+float64 arrays and are deterministic. The blur is ``scipy.ndimage``'s, which is
+imported on its first call; the blur matrix is built by numpy alone and equals
+scipy's filter of an identity matrix bit for bit, so the tracker never loads
+scipy and does not depend on the installed scipy's filter code.
 Frames store RGB as uint8 and gray as float64, so the blur takes the uint8
 channel planes of an RGB frame as they are; the other kernels take float64.
 The Viterbi update reduces its transition matrix down columns, so it is
@@ -15,7 +18,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import ndimage
 
 TRUNCATE = 3.0  # Gaussian taps end this many sigmas from the center
 
@@ -44,6 +46,9 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     of ``img`` widened to float64. Taps end ``TRUNCATE`` sigmas from the
     center; sigma 0 returns a float64 copy.
     """
+    # deferred: only the shape recognizer pays for importing scipy
+    from scipy import ndimage
+
     img = np.ascontiguousarray(img)  # a strided channel plane blurs slower
     if img.ndim != 2:
         raise ValueError("gaussian_blur expects a 2-D array")
@@ -57,10 +62,32 @@ def blur_matrix(n: int, sigma: float) -> np.ndarray:
 
     Column j is the blur of the j-th unit vector, with the taps and symmetric
     boundary of :func:`gaussian_blur`, so ``G_h @ img @ G_w.T`` blurs an
-    (h, w) image; radii beyond ``n`` reflect repeatedly.
+    (h, w) image; radii beyond ``n`` reflect repeatedly. The matrix equals
+    ``scipy.ndimage.gaussian_filter(np.eye(n), (sigma, 0))`` bit for bit: the
+    same taps, and each entry summed in the order of scipy's symmetric
+    correlation, the center tap first, then each mirrored pair
+    ``(x[i-k] + x[i+k]) * w[k]`` from the outermost ``k`` in.
     """
-    sigmas = (_checked_sigma(sigma), 0.0)  # scipy skips the axis whose sigma is 0
-    return ndimage.gaussian_filter(np.eye(n), sigmas, mode="reflect", truncate=TRUNCATE)
+    if _checked_sigma(sigma) <= 1e-15:
+        return np.eye(n)  # scipy's cut-off; below it sigma * sigma can underflow to 0
+    radius = tap_radius(sigma)
+    offsets = np.arange(-radius, radius + 1)
+    taps = np.exp(-0.5 / (sigma * sigma) * offsets**2)
+    taps = taps / taps.sum()  # scipy's expressions, so the same rounding
+
+    rows, period = np.arange(n), 2 * n
+
+    def reflect(index: np.ndarray) -> np.ndarray:  # period 2n: -1 reads 0, n reads n - 1
+        index = index % period
+        return np.minimum(index, period - 1 - index)
+
+    matrix = np.eye(n) * taps[radius]
+    for k in range(radius, 0, -1):
+        lo, hi = reflect(rows - k), reflect(rows + k)
+        # (x[lo] + x[hi]) * w for a unit vector x: 2w where both taps read one sample
+        matrix[rows, lo] += np.where(lo == hi, 2.0, 1.0) * taps[radius + k]
+        matrix[rows, hi] += (lo != hi) * taps[radius + k]
+    return matrix
 
 
 def viterbi_step(

@@ -244,6 +244,16 @@ class Tracker:
         self.counters = OpCounters()
 
     def evidence(self, frame: Frame) -> np.ndarray:
+        """Evidence row of one frame, which must run at ``cfg.fps``.
+
+        The swim-gait band's DFT bins are computed for ``cfg.fps``, so a frame
+        at another rate would be scored against the wrong frequencies.
+        """
+        if frame.fps != self.cfg.fps:
+            raise ValidationError(
+                f"frame {frame.index} runs at {frame.fps} fps but the tracker "
+                f"config is for {self.cfg.fps} fps"
+            )
         gray = luminance(frame) if frame.channels == 3 else frame
         return frame_evidence(gray, self.grid, self.cfg.gauss_sigma)
 
@@ -294,17 +304,13 @@ def track_sequence(
 
     ``frames`` may be any iterable, such as :func:`raster.iter_sequence`. Each
     frame is reduced to its evidence row as it arrives, so only the (n, M)
-    evidence matrix is held, never the frames. The first frame's ``fps`` must
-    equal ``cfg.fps``, as the swim-gait band's DFT bins are computed for it.
+    evidence matrix is held, never the frames. Every frame's ``fps`` must
+    equal ``cfg.fps`` (see :meth:`Tracker.evidence`).
     """
     frames = iter(frames)
     first = next(frames, None)
     if first is None:
         raise ValidationError("cannot track an empty sequence")
-    if first.fps != cfg.fps:
-        raise ValidationError(
-            f"the sequence runs at {first.fps} fps but the tracker config is for {cfg.fps} fps"
-        )
     tracker = Tracker(cfg, first.width, first.height)
     if counters is not None:
         tracker.counters = counters

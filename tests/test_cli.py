@@ -186,6 +186,17 @@ class TestTrack:
         assert "tracker config" in lines[0] and "Traceback" not in proc.stderr
 
 
+    def test_sigma_too_small_to_square_tracks_like_sigma_zero(self, diver_seq, tmp_path):
+        # 1e-300 squared underflows to 0; the blur treats it as no blur, as at 0
+        outs = []
+        for sigma in ("1e-300", "0"):
+            cfg, out = tmp_path / f"tracker-{sigma}.json", tmp_path / f"det-{sigma}.jsonl"
+            cfg.write_text('{"gauss_sigma": %s}' % sigma)
+            assert main(["track", "--seq", str(diver_seq), "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1] and len(outs[0].splitlines()) == 3
+
     def test_corrupt_late_frame_exits_2_writing_nothing(self, diver_seq, tmp_path):
         (diver_seq / "frame_000040.pgm").write_bytes(b"P5\n90 90\n255\n\x00")
         out = tmp_path / "det.jsonl"
@@ -377,6 +388,48 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "diverkit" in capsys.readouterr().out
+
+
+COLD_START = """
+import sys
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+
+from diverkit.cli import main
+
+d = Path(sys.argv[1])
+exp = resources.files("diverkit").joinpath("data", "experiments", "follow_offsets.json")
+(d / "exp.json").write_text(exp.read_text())
+for argv in (
+    ["synth", "--kind", "diver", "--spec", f"{d}/diver.json", "--out", f"{d}/seq"],
+    ["track", "--seq", f"{d}/seq", "--out", f"{d}/det.jsonl"],
+    ["follow", "--out", f"{d}/log.csv"],
+    ["decode", "--tokens", f"{d}/tokens.jsonl", "--out", f"{d}/ins.jsonl"],
+    ["experiment", "--spec", f"{d}/exp.json", "--out", f"{d}/run"],
+):
+    assert main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+
+from diverkit.core import Frame
+from diverkit.gesture import ShapeRecognizer
+
+ShapeRecognizer()(Frame(np.zeros((60, 90, 3), np.uint8)), 0)
+print("scipy.ndimage" in sys.modules)
+"""
+
+
+def test_cold_start_of_track_follow_synth_loads_no_scipy(tmp_path):
+    # the tracker builds its blur matrix with numpy; only the shape recognizer needs scipy
+    (tmp_path / "diver.json").write_text(json.dumps(dict(DIVER_SPEC, frames=15)))
+    token = {"frame": 0, "left": "zero", "right": "zero", "conf_l": 1.0, "conf_r": 1.0}
+    (tmp_path / "tokens.jsonl").write_text(json.dumps(token) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[]", "True"]  # True: the control loads it
 
 
 def test_import_leaves_qhull_unloaded():

@@ -45,6 +45,18 @@ def test_blur_matrices_reproduce_the_blur():
         assert np.allclose(rows @ img @ cols.T, mine, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "sigma", [0.0, 1e-300, 1e-16, 1e-15, 0.3, 0.5, 1.0, 1.5, 2.5, 7.0, 9.0]
+)
+def test_blur_matrix_is_scipys_filter_of_the_identity_bit_for_bit(sigma):
+    # scipy stays the oracle; the radii of 7 and 9 reach past small n
+    from scipy.ndimage import gaussian_filter
+
+    for n in [*range(1, 65), 240, 320, 480]:
+        want = gaussian_filter(np.eye(n), (sigma, 0.0), mode="reflect", truncate=3.0)
+        assert np.array_equal(kernels.blur_matrix(n, sigma), want), n
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     hnp.arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24), st.just(3))),

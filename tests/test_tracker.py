@@ -164,6 +164,11 @@ class TestFrameEvidence:
         with pytest.raises(ValueError):
             rows_proj[0, 0] = 1.0
 
+    def test_frame_at_another_rate_rejected(self):
+        trk = tracker.Tracker(TrackerConfig(), 90, 60)
+        with pytest.raises(ValidationError, match=r"20\.0 fps .* 10\.0 fps"):
+            trk.evidence(Frame(np.zeros((60, 90)), fps=20.0))
+
     def test_track_sequence_never_blurs(self, monkeypatch):
         def no_blur(*args, **kwargs):
             raise AssertionError("the tracker path must not call gaussian_blur")
@@ -517,6 +522,12 @@ class TestTrackSequence:
             track_sequence(self._frames(10), TrackerConfig())
         with pytest.raises(ValidationError, match="shorter than the slide size"):
             track_sequence(iter(self._frames(10)), TrackerConfig())
+
+    def test_frame_at_another_rate_mid_sequence_rejected(self):
+        frames = self._frames(15)
+        frames[2] = Frame(frames[2].pixels, index=2, fps=20.0)
+        with pytest.raises(ValidationError, match=r"frame 2 runs at 20\.0 fps"):
+            track_sequence(frames, TrackerConfig())
 
     def test_empty_iterable_rejected(self):
         with pytest.raises(ValidationError):
