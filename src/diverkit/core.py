@@ -185,6 +185,12 @@ def band_bin_range(slide: int, fps: float, band: tuple[float, float]) -> range:
     return range(first, last + 1)
 
 
+# The largest evidence blur sigma. Its taps reach 3 sigma = 300 px, so they span
+# 601 px, wider than any bundled frame (320 px at most); the blur matrix takes time
+# linear in sigma to build, so a larger value would stall a run before its first frame.
+GAUSS_SIGMA_MAX = 100.0
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     """Detection parameters for the periodic-motion tracker.
@@ -207,7 +213,7 @@ class TrackerConfig:
     stride: int = 0  # 0 means "use slide"
     window_w: int = 30
     window_h: int = 30
-    gauss_sigma: float = 1.0
+    gauss_sigma: float = 1.0  # in [0, GAUSS_SIGMA_MAX]
 
     def __post_init__(self):
         if self.stride == 0:
@@ -234,8 +240,10 @@ class TrackerConfig:
             raise ValidationError("stride must lie in [1, slide]")
         if self.fps <= 0:
             raise ValidationError("fps must be positive")
-        if self.gauss_sigma < 0:
-            raise ValidationError("gauss_sigma must be >= 0")
+        if not 0 <= self.gauss_sigma <= GAUSS_SIGMA_MAX:
+            raise ValidationError(
+                f"gauss_sigma must lie in [0, {GAUSS_SIGMA_MAX:g}], got {self.gauss_sigma}"
+            )
         band_range = band_bin_range(self.slide, self.fps, self.band)
         if not band_range:
             raise ValidationError(

@@ -16,9 +16,14 @@ components are labelled only inside the bounding box of the mask's True
 pixels, which keeps the labels' raster order, so the regions equal those of
 labelling the whole frame.
 
-Of the toolkit, only this shape pipeline loads scipy: its blur, labelling and
-convex hull import ``scipy.ndimage`` and ``scipy.spatial`` on first use, so the
-tracker, the follow loop and the oracle recognizer run on numpy alone.
+Solidity needs the number of pixels in a region's convex hull. That count is
+exact and integer: Andrew's monotone chain (1979) over the row ends of a
+row-major pixel set finds the hull, and Pick's theorem counts its lattice
+points (see :func:`_hull_pixel_count`).
+
+Of the toolkit, only this shape pipeline loads scipy: its blur and labelling
+import ``scipy.ndimage`` on first use, so the tracker, the follow loop and the
+oracle recognizer run on numpy alone.
 
 Recognizers are pluggable callables ``(frame, frame_index) -> GesturePairToken``
 so a learned detector can replace the shape pipeline later. Two ship here:
@@ -176,30 +181,51 @@ class Region:
     descriptor: np.ndarray  # (extent, eccentricity, solidity)
 
 
+def _half_hull(ys: list[int], xs: list[int], turn: int) -> list[tuple[int, int]]:
+    """One side of the hull of points ``(y, x)`` already sorted by y (Andrew, 1979).
+
+    ``turn`` 1 keeps the left side (x's convex minorant), -1 the right side (its
+    concave majorant). Collinear middle points are dropped.
+    """
+    chain: list[tuple[int, int]] = []
+    for y, x in zip(ys, xs):
+        while len(chain) >= 2:
+            (oy, ox), (ay, ax) = chain[-2], chain[-1]
+            if turn * ((ay - oy) * (x - ox) - (ax - ox) * (y - oy)) > 0:
+                break
+            chain.pop()
+        chain.append((y, x))
+    return chain
+
+
 def _hull_pixel_count(xs: np.ndarray, ys: np.ndarray) -> int:
     """Lattice points on or inside the convex hull of a row-major pixel set.
 
     ``xs, ys`` must be in row-major order, as ``np.nonzero`` returns them. The
-    hull of the pixels is the hull of each row's first and last pixel, and its
-    vertices are pixels, so Pick's theorem gives the count exactly from twice
-    the area (integer shoelace) and the boundary points (gcd of each edge).
+    hull of the pixels is the hull of each row's first and last pixel. Those
+    ends come sorted by y, so Andrew's monotone chain (Andrew, "Another
+    efficient algorithm for convex hulls in two dimensions", IPL 1979) finds
+    the left side over the first pixels and the right side over the last ones
+    without a sort, in integer arithmetic. The vertices are pixels, so Pick's
+    theorem gives the count exactly from twice the area (integer shoelace) and
+    the boundary points (the gcd of each edge's dx and dy). A hull of zero area
+    (one pixel, one row, one column or a diagonal line) counts ``len(xs)``.
     """
-    # deferred: only the shape recognizer pays for importing qhull
-    from scipy.spatial import ConvexHull, QhullError
-
     step = np.flatnonzero(ys[1:] != ys[:-1])  # last pixel of every row but the bottom one
-    idx = np.concatenate([[0], step + 1, step, [len(ys) - 1]])  # row firsts, then row lasts
-    ends = np.column_stack([xs[idx], ys[idx]])
-    try:
-        hull = ConvexHull(ends)
-    except QhullError:
-        return len(xs)  # degenerate: one pixel, one row or a collinear region
-    ring = ends[hull.vertices]
-    ring = np.concatenate([ring, ring[:1]])  # closed: the first vertex again at the end
-    (x, y), (dx, dy) = ring[:-1].T, (ring[1:] - ring[:-1]).T
-    twice_area = abs(int(np.sum(x * dy - y * dx)))
-    boundary = int(np.gcd(dx, dy).sum())
-    return (twice_area + boundary) // 2 + 1
+    firsts, lasts = np.append(0, step + 1), np.append(step, len(ys) - 1)
+    rows = ys[firsts].tolist()
+    # down the left side, then back up the right; where a top or bottom row is one
+    # pixel wide its vertex repeats, and that zero-length edge adds 0 to both sums
+    left = _half_hull(rows, xs[firsts].tolist(), 1)
+    right = _half_hull(rows, xs[lasts].tolist(), -1)
+    ring = left + right[::-1]
+    twice_area = boundary = 0
+    for (y0, x0), (y1, x1) in zip(ring, ring[1:] + ring[:1]):
+        twice_area += x0 * y1 - x1 * y0
+        boundary += math.gcd(x1 - x0, y1 - y0)
+    if twice_area == 0:
+        return len(xs)
+    return (abs(twice_area) + boundary) // 2 + 1
 
 
 def shape_descriptor(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -251,7 +277,7 @@ def extract_regions(mask: np.ndarray, min_area: int = MIN_HAND_AREA) -> list[Reg
     within the frame, so the regions and their order are those of labelling
     the whole mask.
     """
-    # deferred, like the hull's qhull: the other pipelines never load scipy
+    # deferred: the other pipelines never load scipy
     from scipy import ndimage
 
     rows = np.flatnonzero(mask.any(axis=1))

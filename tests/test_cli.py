@@ -404,6 +404,7 @@ exp = resources.files("diverkit").joinpath("data", "experiments", "follow_offset
 (d / "exp.json").write_text(exp.read_text())
 for argv in (
     ["synth", "--kind", "diver", "--spec", f"{d}/diver.json", "--out", f"{d}/seq"],
+    ["synth", "--kind", "gesture", "--spec", f"{d}/gesture.json", "--out", f"{d}/gseq"],
     ["track", "--seq", f"{d}/seq", "--out", f"{d}/det.jsonl"],
     ["follow", "--out", f"{d}/log.csv"],
     ["decode", "--tokens", f"{d}/tokens.jsonl", "--out", f"{d}/ins.jsonl"],
@@ -416,24 +417,26 @@ from diverkit.core import Frame
 from diverkit.gesture import ShapeRecognizer
 
 ShapeRecognizer()(Frame(np.zeros((60, 90, 3), np.uint8)), 0)
-print("scipy.ndimage" in sys.modules)
+print("scipy.ndimage" in sys.modules, "scipy.spatial" in sys.modules)
+argv = ["decode", "--seq", f"{d}/gseq", "--recognizer", "shape", "--out", f"{d}/shape.jsonl"]
+assert main(argv) == 0
+print("scipy.spatial" in sys.modules, len((d / "shape.jsonl").read_text().splitlines()))
 """
 
 
 def test_cold_start_of_track_follow_synth_loads_no_scipy(tmp_path):
-    # the tracker builds its blur matrix with numpy; only the shape recognizer needs scipy
+    # the tracker builds its blur matrix with numpy and the hull count needs no qhull,
+    # so only the shape recognizer's blur and labelling load scipy, and only scipy.ndimage
     (tmp_path / "diver.json").write_text(json.dumps(dict(DIVER_SPEC, frames=15)))
+    (tmp_path / "gesture.json").write_text(json.dumps(GESTURE_SPEC))
     token = {"frame": 0, "left": "zero", "right": "zero", "conf_l": 1.0, "conf_r": 1.0}
     (tmp_path / "tokens.jsonl").write_text(json.dumps(token) + "\n")
     proc = subprocess.run(
         [sys.executable, "-c", COLD_START, str(tmp_path)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[]", "True"]  # True: the control loads it
-
-
-def test_import_leaves_qhull_unloaded():
-    # only the shape recognizer's hull needs scipy.spatial, so it imports it on first use
-    code = "import sys, diverkit.cli; print('scipy.spatial' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.stdout == "False\n", proc.stderr
+    # the control loads scipy.ndimage; a shape decode that emits instructions leaves qhull out
+    scipy_modules, control, shape_decode = proc.stdout.splitlines()[-3:]
+    assert scipy_modules == "[]" and control == "True False"
+    loaded, instructions = shape_decode.split()
+    assert loaded == "False" and int(instructions) > 0

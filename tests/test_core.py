@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diverkit.core import (
+    GAUSS_SIGMA_MAX,
     BoundingBox,
     Frame,
     GridConfig,
@@ -311,6 +312,12 @@ class TestTrackerConfig:
     def test_non_finite_values_rejected(self, kwargs, field):
         with pytest.raises(ValidationError, match=field):
             TrackerConfig(**kwargs)
+
+    def test_gauss_sigma_capped(self):
+        assert TrackerConfig(gauss_sigma=GAUSS_SIGMA_MAX).gauss_sigma == GAUSS_SIGMA_MAX
+        for sigma in (-1.0, math.nextafter(GAUSS_SIGMA_MAX, math.inf), 1e7):
+            with pytest.raises(ValidationError, match="gauss_sigma"):
+                TrackerConfig(gauss_sigma=sigma)
 
     def test_band_without_integer_bin_rejected(self):
         with pytest.raises(ValidationError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.spatial import ConvexHull, QhullError  # only the qhull oracle below uses it
 
 from diverkit import gesture, kernels, synth
 from diverkit.core import Frame, ValidationError
@@ -428,6 +429,26 @@ def hull_lattice_count(xs, ys):
     )
 
 
+def qhull_pixel_count(xs, ys):
+    """Oracle: the hull count through qhull, as the shape recognizer once took it.
+
+    ``ConvexHull`` of each row's first and last pixel, then Pick's theorem on its
+    vertices; qhull refuses a flat hull (one pixel, one row, a collinear set), which
+    counts ``len(xs)``.
+    """
+    step = np.flatnonzero(ys[1:] != ys[:-1])
+    idx = np.concatenate([[0], step + 1, step, [len(ys) - 1]])  # row firsts, then row lasts
+    ends = np.column_stack([xs[idx], ys[idx]])
+    try:
+        hull = ConvexHull(ends)
+    except QhullError:
+        return len(xs)
+    ring = ends[hull.vertices]
+    ring = np.concatenate([ring, ring[:1]])
+    (x, y), (dx, dy) = ring[:-1].T, (ring[1:] - ring[:-1]).T
+    return (abs(int(np.sum(x * dy - y * dx))) + int(np.gcd(dx, dy).sum())) // 2 + 1
+
+
 @st.composite
 def largest_components(draw):
     """Pixel coordinates of the largest 8-connected component of a random mask."""
@@ -492,6 +513,63 @@ class TestHullPixelCount:
     def test_matches_on_degenerate_regions(self, xs, ys):
         xs, ys = np.array(xs), np.array(ys)
         assert gesture._hull_pixel_count(xs, ys) == hull_lattice_count(xs, ys) == len(xs)
+
+
+@st.composite
+def pixel_sets(draw):
+    """Row-major pixels of a mask up to 40x40: an ellipse, whose hull has many
+    vertices, or one random run per row; then holes at a random density, and at
+    least one pixel."""
+    ellipse = draw(st.booleans())
+    side = st.integers(16 if ellipse else 1, 40)
+    h, w = draw(side), draw(side)
+    ys, xs = np.mgrid[:h, :w]
+    if ellipse:
+        cy, cx = (h - 1) / 2 + draw(st.floats(-2, 2)), (w - 1) / 2 + draw(st.floats(-2, 2))
+        ry, rx = h / 2 * draw(st.floats(0.1, 1.2)), w / 2 * draw(st.floats(0.1, 1.2))
+        mask = ((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2 <= 1.0
+    else:
+        run = st.tuples(st.integers(0, w), st.integers(0, w))
+        runs = draw(st.lists(run, min_size=h, max_size=h))
+        mask = np.array([(xs[0] >= min(run)) & (xs[0] < max(run)) for run in runs])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask &= rng.random((h, w)) >= draw(st.sampled_from([0.0, 0.0, 0.1, 0.5]))
+    mask[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = True
+    ys, xs = np.nonzero(mask)
+    return xs, ys
+
+
+def row_major(xs, ys):
+    order = np.lexsort((xs, ys))
+    return xs[order], ys[order]
+
+
+class TestHullPixelCountOracles:
+    def test_matches_qhull_on_every_region_of_the_noisy_study_scene(self):
+        regions = 0
+        for frame in noisy_study_frames(seed=5):
+            mask = segment_skin(frame, SKIN_HSV)
+            labeled, _ = ndimage.label(mask, structure=np.ones((3, 3), bool))
+            for index, slc in enumerate(ndimage.find_objects(labeled), start=1):
+                ys, xs = np.nonzero(labeled[slc] == index)
+                assert gesture._hull_pixel_count(xs, ys) == qhull_pixel_count(xs, ys)
+                regions += 1
+        assert regions > 260  # two hands in most frames, and noise specks
+
+    @pytest.mark.parametrize("cls", list(GestureClass))
+    def test_matches_qhull_on_hand_silhouettes(self, cls):
+        ys, xs = np.nonzero(synth.hand_mask(cls))
+        assert gesture._hull_pixel_count(xs, ys) == qhull_pixel_count(xs, ys)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pixel_sets(), st.integers(-1000, 1000), st.integers(-1000, 1000))
+    def test_shift_mirror_and_transpose_keep_the_count(self, pixels, dx, dy):
+        xs, ys = pixels
+        count = gesture._hull_pixel_count(xs, ys)
+        assert gesture._hull_pixel_count(xs + dx, ys + dy) == count
+        assert gesture._hull_pixel_count(*row_major(-xs, ys)) == count
+        # transposing changes which pixels are row ends, so both chains see new points
+        assert gesture._hull_pixel_count(*row_major(ys, xs)) == count
 
 
 class TestRejectOutliers:
@@ -611,6 +689,25 @@ class TestRecognizePair:
         a = recognize_pair(frame, None, self.BANK, SKIN_HSV)
         b = recognize_pair(frame, None, self.BANK, SKIN_HSV)
         assert a == b
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.sampled_from([None, *GestureClass]),
+        st.sampled_from([None, *GestureClass]),
+        st.floats(0.0, 15.0),
+        st.integers(0, 30),  # the largest jitter a 320x240 scene takes
+        st.integers(0, 2**32 - 1),
+    )
+    def test_mirrored_frame_mirrors_the_mask_and_swaps_the_hands(
+        self, left, right, noise, jitter, seed
+    ):
+        frame = self._scene(left, right, noise_sigma=noise, jitter=jitter, seed=seed)
+        mirrored = Frame(frame.pixels[:, ::-1])
+        mask = segment_skin(frame, SKIN_HSV)
+        assert np.array_equal(segment_skin(mirrored, SKIN_HSV), mask[:, ::-1])
+        token = recognize_pair(frame, None, self.BANK, SKIN_HSV)
+        flipped = recognize_pair(mirrored, None, self.BANK, SKIN_HSV)
+        assert flipped.pair == (token.right, token.left)
 
 
 class TestRecognizers:

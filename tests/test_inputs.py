@@ -106,6 +106,10 @@ CASES = {
     "token-line-list": ({"tokens.jsonl": tokens(TOKEN, [1, 2])}, DECODE),
     "token-conf-string": ({"tokens.jsonl": tokens(dict(TOKEN, conf_l="hi"))}, DECODE),
     "track-config-empty-string": ({}, ["track", "--seq", "{seq}", "--config", ""]),
+    "track-config-sigma-above-cap": (  # the blur matrix would take minutes to build
+        {"tracker.json": {"gauss_sigma": 1e7}},
+        ["track", "--seq", "{seq}", "--config", "{d}/tracker.json"],
+    ),
     "undecodable-track-config": (
         {"tracker.json": UNDECODABLE}, ["track", "--seq", "{seq}", "--config", "{d}/tracker.json"]
     ),
@@ -187,6 +191,7 @@ RANGE_CASES = {
     "synth-flipper-amplitude-negative": "amplitude",
     "synth-flipper-radius-negative": "radius",
     "synth-flipper-radius-zero": "radius",
+    "track-config-sigma-above-cap": "gauss_sigma",
 }
 
 # one case per command family, also run as a child process
