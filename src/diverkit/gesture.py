@@ -13,17 +13,17 @@ costly part, is computed only for the pixels whose S and V already lie inside
 the range, with the same per-pixel expressions as a whole-image conversion, so
 the mask equals a threshold of the full HSV image bit for bit. Connected
 components are labelled only inside the bounding box of the mask's True
-pixels, which keeps the labels' raster order, so the regions equal those of
-labelling the whole frame.
+pixels, from the mask's row runs, in the raster order of each component's
+first pixel, so the regions equal those of labelling the whole frame.
 
 Solidity needs the number of pixels in a region's convex hull. That count is
 exact and integer: Andrew's monotone chain (1979) over the row ends of a
 row-major pixel set finds the hull, and Pick's theorem counts its lattice
 points (see :func:`_hull_pixel_count`).
 
-Of the toolkit, only this shape pipeline loads scipy: its blur and labelling
-import ``scipy.ndimage`` on first use, so the tracker, the follow loop and the
-oracle recognizer run on numpy alone.
+The pipeline runs on numpy alone, as the rest of the toolkit does: the blur
+and the labelling equal ``scipy.ndimage``'s bit for bit, and the tests keep
+scipy as their oracle.
 
 Recognizers are pluggable callables ``(frame, frame_index) -> GesturePairToken``
 so a learned detector can replace the shape pipeline later. Two ship here:
@@ -265,36 +265,76 @@ def region_from_pixels(xs: np.ndarray, ys: np.ndarray) -> Region:
     )
 
 
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 MIN_HAND_AREA = 100  # pixels; a smaller skin region is not a hand
+
+
+def _label_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Row runs of a 2-D bool mask and the 8-connected component of each.
+
+    A cell (y, x) has the key ``y * width + x`` with ``width = w + 1``, so
+    keys run in raster order and a run never reaches the next row. Returns
+    ``(first, end, label, width)``: the key of each run's first cell and one
+    past its last, in raster order, and the index of the first run of its
+    component, which numbers the components in the raster order of their
+    first pixel. Labelling runs rather than pixels follows Rosenfeld & Pfaltz
+    (JACM 1966) and He, Chao & Suzuki (IEEE TIP 2008); the runs are merged
+    here by min-label hooking and pointer jumping over all runs at once.
+    """
+    h, w = mask.shape
+    width = w + 1
+    cells = np.zeros(h * width + 1, dtype=np.int8)  # a 0 before row 0 and after every row
+    cells[1:].reshape(h, width)[:, :w] = mask
+    edges = np.flatnonzero(np.diff(cells))  # run starts and ends alternate
+    first, end = edges[::2], edges[1::2]
+    # a run of the row above touches a run, diagonals included, when it ends at or
+    # after the run's first column and starts at or before its end column; those
+    # runs form the slice [lo, hi) of the raster order
+    lo = np.searchsorted(end, first - width, side="left")
+    hi = np.searchsorted(first, end - width, side="right")
+    count = np.maximum(hi - lo, 0)
+    run = np.repeat(np.arange(len(first)), count)
+    above = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+    label = np.arange(len(first))
+    while True:
+        # hook each touching pair's larger root under its smaller one, then jump
+        # pointers until every run points at its root
+        a, b = label[run], label[above]
+        touching = a != b
+        if not touching.any():
+            return first, end, label, width
+        np.minimum.at(label, np.maximum(a, b)[touching], np.minimum(a, b)[touching])
+        root = label[label]
+        while (root != label).any():
+            label, root = root, root[root]
 
 
 def extract_regions(mask: np.ndarray, min_area: int = MIN_HAND_AREA) -> list[Region]:
     """8-connected components of a bool mask, largest (then leftmost) first.
 
-    Labelling runs inside the bounding box of the mask's True pixels. Labels
-    number components in raster order of their first pixel, within the box as
-    within the frame, so the regions and their order are those of labelling
-    the whole mask.
+    Labelling runs inside the bounding box of the mask's True pixels, on the
+    mask's row runs (:func:`_label_runs`). Components are taken in raster
+    order of their first pixel, within the box as within the frame, so the
+    regions and their order equal those of ``scipy.ndimage.label`` with an
+    8-connected structure and ``find_objects`` on the whole mask. Only
+    components of at least ``min_area`` pixels are expanded to pixels, in
+    row-major order.
     """
-    # deferred: the other pipelines never load scipy
-    from scipy import ndimage
-
+    mask = np.asarray(mask, dtype=bool)
     rows = np.flatnonzero(mask.any(axis=1))
     if rows.size == 0:
         return []
     cols = np.flatnonzero(mask.any(axis=0))
     y0, x0 = rows[0], cols[0]
-    labeled, _ = ndimage.label(
-        mask[y0 : rows[-1] + 1, x0 : cols[-1] + 1], structure=_EIGHT_CONNECTED
-    )
+    first, end, label, width = _label_runs(mask[y0 : rows[-1] + 1, x0 : cols[-1] + 1])
+    lengths = end - first
+    areas = np.bincount(label, weights=lengths)
     regions = []
-    for index, slc in enumerate(ndimage.find_objects(labeled), start=1):
-        local = labeled[slc] == index
-        if np.count_nonzero(local) < min_area:
-            continue
-        ys, xs = np.nonzero(local)
-        regions.append(region_from_pixels(xs + (x0 + slc[1].start), ys + (y0 + slc[0].start)))
+    for root in np.flatnonzero(areas >= min_area):
+        runs = np.flatnonzero(label == root)
+        n = lengths[runs]
+        keys = np.arange(n.sum()) + np.repeat(first[runs] - np.cumsum(n) + n, n)
+        ys, xs = np.divmod(keys, width)
+        regions.append(region_from_pixels(xs + x0, ys + y0))
     regions.sort(key=lambda r: (-r.area, r.centroid[0]))
     return regions
 
@@ -444,9 +484,12 @@ def recognize_pair(
     matched.sort(key=lambda m: (-m[2], -m[0].area, m[0].centroid[0]))
     matched = sorted(matched[:2], key=lambda m: m[0].centroid[0])
 
-    # side -> (region, class, confidence); a lone region's side is its half of the frame
+    # side -> (region, class, confidence); a lone region's side is its half of the
+    # frame. Pixel centroids of a frame and its mirror are symmetric about
+    # (width - 1) / 2, so mirroring swaps the side of every centroid but one exactly
+    # on that line, which goes to the left in both.
     if len(matched) == 1:
-        sides = ("right",) if matched[0][0].centroid[0] < frame.width / 2 else ("left",)
+        sides = ("right",) if matched[0][0].centroid[0] < (frame.width - 1) / 2 else ("left",)
     else:
         sides = ("right", "left")
     hands = dict(zip(sides, matched))

@@ -2,10 +2,11 @@
 
 The Gaussian blur of the gesture path, the blur matrix the tracker folds into
 its evidence projections, one Viterbi table update and a direct DFT. All return
-float64 arrays and are deterministic. The blur is ``scipy.ndimage``'s, which is
-imported on its first call; the blur matrix is built by numpy alone and equals
-scipy's filter of an identity matrix bit for bit, so the tracker never loads
-scipy and does not depend on the installed scipy's filter code.
+float64 arrays and are deterministic, and all run on numpy alone. The blur and
+the blur matrix share the taps, the boundary and the summation order of
+``scipy.ndimage.gaussian_filter``, and the tests hold both to scipy's output
+bit for bit, so no pipeline loads scipy or depends on the installed scipy's
+filter code.
 Frames store RGB as uint8 and gray as float64, so the blur takes the uint8
 channel planes of an RGB frame as they are; the other kernels take float64.
 The Viterbi update reduces its transition matrix down columns, so it is
@@ -39,22 +40,57 @@ def tap_radius(sigma: float) -> int:
     return int(TRUNCATE * _checked_sigma(sigma) + 0.5)
 
 
+def _taps(sigma: float) -> np.ndarray:
+    """The 2r + 1 Gaussian taps, r = :func:`tap_radius`, in scipy's expressions and rounding."""
+    if _checked_sigma(sigma) <= 1e-15:
+        return np.ones(1)  # scipy's cut-off; below it sigma * sigma can underflow to 0
+    offsets = np.arange(-tap_radius(sigma), tap_radius(sigma) + 1)
+    taps = np.exp(-0.5 / (sigma * sigma) * offsets**2)
+    return taps / taps.sum()
+
+
+def _reflect(index: np.ndarray, n: int) -> np.ndarray:
+    """scipy's "reflect" boundary on an axis of length n (period 2n: -1 reads 0, n reads n - 1)."""
+    index = index % (2 * n)
+    return np.minimum(index, 2 * n - 1 - index)
+
+
+def _blur_axis0(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Correlate every column of ``x`` with symmetric ``taps``, as scipy does.
+
+    Each output sums the center tap first, then each mirrored pair
+    ``(x[i-k] + x[i+k]) * w[k]`` from the outermost ``k`` in, the order of
+    scipy's symmetric correlation. A pair of uint8 samples is added in uint16,
+    which is exact, as scipy's sum of the two samples widened to float64 is.
+    """
+    radius, n = len(taps) // 2, x.shape[0]
+    padded = x[_reflect(np.arange(-radius, n + radius), n)]
+    out = padded[radius : radius + n] * taps[radius]
+    pair = np.uint16 if x.dtype == np.uint8 else np.float64
+    for k in range(radius, 0, -1):
+        below, above = padded[radius - k : n + radius - k], padded[radius + k : n + radius + k]
+        out += np.add(below, above, dtype=pair) * taps[radius + k]
+    return out
+
+
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Blur a 2-D image with a separable Gaussian (symmetric boundary).
 
     ``img`` may be any real dtype; the result is float64 and equals the blur
     of ``img`` widened to float64. Taps end ``TRUNCATE`` sigmas from the
-    center; sigma 0 returns a float64 copy.
+    center; sigma 0 returns a float64 copy. The result equals
+    ``scipy.ndimage.gaussian_filter(img, sigma, output=np.float64,
+    mode="reflect", truncate=TRUNCATE)`` bit for bit: rows are filtered first,
+    then columns, each pass with scipy's taps and summation order.
     """
-    # deferred: only the shape recognizer pays for importing scipy
-    from scipy import ndimage
-
-    img = np.ascontiguousarray(img)  # a strided channel plane blurs slower
-    if img.ndim != 2:
-        raise ValueError("gaussian_blur expects a 2-D array")
-    return ndimage.gaussian_filter(
-        img, _checked_sigma(sigma), output=np.float64, mode="reflect", truncate=TRUNCATE
-    )
+    img = np.asarray(img)
+    if img.ndim != 2 or img.size == 0:
+        raise ValueError("gaussian_blur expects a non-empty 2-D array")
+    if img.dtype != np.uint8:
+        img = img.astype(np.float64, copy=False)
+    taps = _taps(sigma)
+    # the pass along axis 1 runs as a pass along axis 0 of the transpose
+    return _blur_axis0(_blur_axis0(img, taps).T, taps).T
 
 
 def blur_matrix(n: int, sigma: float) -> np.ndarray:
@@ -63,27 +99,15 @@ def blur_matrix(n: int, sigma: float) -> np.ndarray:
     Column j is the blur of the j-th unit vector, with the taps and symmetric
     boundary of :func:`gaussian_blur`, so ``G_h @ img @ G_w.T`` blurs an
     (h, w) image; radii beyond ``n`` reflect repeatedly. The matrix equals
-    ``scipy.ndimage.gaussian_filter(np.eye(n), (sigma, 0))`` bit for bit: the
-    same taps, and each entry summed in the order of scipy's symmetric
-    correlation, the center tap first, then each mirrored pair
-    ``(x[i-k] + x[i+k]) * w[k]`` from the outermost ``k`` in.
+    ``scipy.ndimage.gaussian_filter(np.eye(n), (sigma, 0))`` bit for bit: each
+    entry adds its taps in the order of :func:`_blur_axis0`, but the matrix is
+    built tap by tap, in time linear in ``n``, not by filtering an identity.
     """
-    if _checked_sigma(sigma) <= 1e-15:
-        return np.eye(n)  # scipy's cut-off; below it sigma * sigma can underflow to 0
-    radius = tap_radius(sigma)
-    offsets = np.arange(-radius, radius + 1)
-    taps = np.exp(-0.5 / (sigma * sigma) * offsets**2)
-    taps = taps / taps.sum()  # scipy's expressions, so the same rounding
-
-    rows, period = np.arange(n), 2 * n
-
-    def reflect(index: np.ndarray) -> np.ndarray:  # period 2n: -1 reads 0, n reads n - 1
-        index = index % period
-        return np.minimum(index, period - 1 - index)
-
+    taps = _taps(sigma)
+    radius, rows = len(taps) // 2, np.arange(n)
     matrix = np.eye(n) * taps[radius]
     for k in range(radius, 0, -1):
-        lo, hi = reflect(rows - k), reflect(rows + k)
+        lo, hi = _reflect(rows - k, n), _reflect(rows + k, n)
         # (x[lo] + x[hi]) * w for a unit vector x: 2w where both taps read one sample
         matrix[rows, lo] += np.where(lo == hi, 2.0, 1.0) * taps[radius + k]
         matrix[rows, hi] += (lo != hi) * taps[radius + k]

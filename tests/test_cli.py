@@ -411,22 +411,28 @@ for argv in (
     ["experiment", "--spec", f"{d}/exp.json", "--out", f"{d}/run"],
 ):
     assert main(argv) == 0, argv
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+
+print(scipy_modules())
 
 from diverkit.core import Frame
 from diverkit.gesture import ShapeRecognizer
 
 ShapeRecognizer()(Frame(np.zeros((60, 90, 3), np.uint8)), 0)
-print("scipy.ndimage" in sys.modules, "scipy.spatial" in sys.modules)
+print(scipy_modules())
 argv = ["decode", "--seq", f"{d}/gseq", "--recognizer", "shape", "--out", f"{d}/shape.jsonl"]
 assert main(argv) == 0
-print("scipy.spatial" in sys.modules, len((d / "shape.jsonl").read_text().splitlines()))
+print(scipy_modules(), len((d / "shape.jsonl").read_text().splitlines()))
 """
 
 
 def test_cold_start_of_track_follow_synth_loads_no_scipy(tmp_path):
-    # the tracker builds its blur matrix with numpy and the hull count needs no qhull,
-    # so only the shape recognizer's blur and labelling load scipy, and only scipy.ndimage
+    # every pipeline runs on numpy alone: the tracker's blur matrix, the shape
+    # recognizer's blur and labelling, and its hull count load no scipy module
     (tmp_path / "diver.json").write_text(json.dumps(dict(DIVER_SPEC, frames=15)))
     (tmp_path / "gesture.json").write_text(json.dumps(GESTURE_SPEC))
     token = {"frame": 0, "left": "zero", "right": "zero", "conf_l": 1.0, "conf_r": 1.0}
@@ -435,8 +441,8 @@ def test_cold_start_of_track_follow_synth_loads_no_scipy(tmp_path):
         [sys.executable, "-c", COLD_START, str(tmp_path)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    # the control loads scipy.ndimage; a shape decode that emits instructions leaves qhull out
-    scipy_modules, control, shape_decode = proc.stdout.splitlines()[-3:]
-    assert scipy_modules == "[]" and control == "True False"
+    # nor do a shape recognizer call and a shape decode that emits instructions
+    commands, recognizer, shape_decode = proc.stdout.splitlines()[-3:]
+    assert commands == recognizer == "[]"
     loaded, instructions = shape_decode.split()
-    assert loaded == "False" and int(instructions) > 0
+    assert loaded == "[]" and int(instructions) > 0

@@ -380,20 +380,92 @@ def component_masks(draw):
     return mask
 
 
+def oracle_pixels(mask, min_area):
+    """Oracle: row-major pixels of each component ``ndimage.label`` numbers, in its order."""
+    labeled, count = ndimage.label(mask, structure=np.ones((3, 3), bool))
+    pixels = [np.nonzero(labeled == index) for index in range(1, count + 1)]
+    return [(xs, ys) for ys, xs in pixels if len(xs) >= min_area]
+
+
+def labelled_pixels(mask, min_area):
+    """``extract_regions``' regions and the pixel arrays it built them from, in order."""
+    calls = []
+
+    def recording(xs, ys):
+        calls.append((xs, ys))
+        return region_from_pixels(xs, ys)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(gesture, "region_from_pixels", recording)
+        regions = extract_regions(mask, min_area)
+    return regions, calls
+
+
+def assert_labelled_like_ndimage(mask, min_area):
+    """Same components in ndimage's order, with the same row-major int pixel arrays,
+    and the same regions as the whole-frame labelling, sorted with their ties."""
+    regions, calls = labelled_pixels(mask, min_area)
+    want = oracle_pixels(mask, min_area)
+    assert len(calls) == len(want)
+    for (xs, ys), (want_xs, want_ys) in zip(calls, want):
+        assert xs.dtype == want_xs.dtype and ys.dtype == want_ys.dtype
+        assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
+    assert_same_regions(regions, full_frame_regions(mask, min_area))
+
+
+def serpentine(h=240, w=320):
+    """One path that fills every other row and turns at alternate ends."""
+    mask = np.zeros((h, w), bool)
+    mask[::2] = True
+    mask[1::4, -1] = mask[3::4, 0] = True
+    return mask
+
+
+def comb(h=240, w=320):
+    """A top row with a one-pixel tooth hanging from every other column."""
+    mask = np.zeros((h, w), bool)
+    mask[:, ::2] = mask[0] = True
+    return mask
+
+
+def checkerboard(h=240, w=320):
+    """8-connected through the diagonals: one component with a run per pixel."""
+    ys, xs = np.mgrid[:h, :w]
+    return (ys + xs) % 2 == 0
+
+
 class TestRegionsInTheMaskBox:
     @settings(max_examples=300, deadline=None)
     @given(component_masks(), st.sampled_from([1, 100]))
     def test_matches_full_frame_labelling(self, mask, min_area):
-        assert_same_regions(extract_regions(mask, min_area), full_frame_regions(mask, min_area))
+        assert_labelled_like_ndimage(mask, min_area)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 100]),
+    )
+    def test_matches_ndimage_on_random_masks(self, h, w, density, seed, min_area):
+        # many one-pixel components of equal area and column: ties in the region order
+        mask = np.random.default_rng(seed).random((h, w)) < density
+        assert_labelled_like_ndimage(mask, min_area)
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_matches_on_noisy_study_scene(self, seed):
+        # seed 5 is the scene of the decode-shape benchmark workload
         for frame in noisy_study_frames(seed):
             mask = segment_skin(frame, SKIN_HSV)
             for min_area in (1, 100):
-                assert_same_regions(
-                    extract_regions(mask, min_area), full_frame_regions(mask, min_area)
-                )
+                assert_labelled_like_ndimage(mask, min_area)
+
+    @pytest.mark.parametrize("make", [serpentine, comb, checkerboard])
+    def test_matches_ndimage_on_adversarial_masks(self, make):
+        mask = make()
+        assert len(extract_regions(mask)) == 1
+        assert_labelled_like_ndimage(mask, 100)
 
 
 def cross(o, a, b):
@@ -689,6 +761,33 @@ class TestRecognizePair:
         a = recognize_pair(frame, None, self.BANK, SKIN_HSV)
         b = recognize_pair(frame, None, self.BANK, SKIN_HSV)
         assert a == b
+
+    @staticmethod
+    def _disk_frame(cx, w=320, h=240, r=30):
+        img = np.empty((h, w, 3), dtype=np.uint8)
+        img[:] = synth.DEFAULT_GESTURE_BACKGROUND
+        img[disk_mask(h, w, cx, h // 2, r)] = synth.DEFAULT_SKIN
+        return Frame(img)
+
+    def test_lone_hand_beside_the_center_line_changes_side_in_the_mirror(self):
+        # a centroid in (w/2 - 1, w/2) mirrors to one in the same interval, so
+        # halving the frame at w/2 gave the same side to both
+        frame = self._disk_frame(cx=159.25)
+        (region,) = extract_regions(segment_skin(frame, SKIN_HSV))
+        assert 159.0 < region.centroid[0] < 159.5
+        token = recognize_pair(frame, None, self.BANK, SKIN_HSV)
+        flipped = recognize_pair(Frame(frame.pixels[:, ::-1]), None, self.BANK, SKIN_HSV)
+        assert token.pair == (None, GestureClass.zero)
+        assert flipped.pair == (GestureClass.zero, None)
+
+    def test_lone_hand_on_the_center_line_is_the_left_hand(self):
+        # the one tie: a frame symmetric about (w - 1) / 2 is its own mirror
+        frame = self._disk_frame(cx=159.5)
+        assert np.array_equal(frame.pixels, frame.pixels[:, ::-1])
+        (region,) = extract_regions(segment_skin(frame, SKIN_HSV))
+        assert region.centroid[0] == 159.5
+        token = recognize_pair(frame, None, self.BANK, SKIN_HSV)
+        assert token.pair == (GestureClass.zero, None)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -57,6 +57,58 @@ def test_blur_matrix_is_scipys_filter_of_the_identity_bit_for_bit(sigma):
         assert np.array_equal(kernels.blur_matrix(n, sigma), want), n
 
 
+def scipy_blur(img, sigma):
+    """Oracle: the filter ``gaussian_blur`` must equal bit for bit."""
+    from scipy.ndimage import gaussian_filter
+
+    return gaussian_filter(img, sigma, output=np.float64, mode="reflect", truncate=3.0)
+
+
+ORACLE_SIGMAS = [0.0, 0.5, 1.0, 2.5, 7.0]
+
+
+@pytest.fixture(scope="module")
+def study_frames():
+    from test_gesture import noisy_study_frames
+
+    return noisy_study_frames(seed=5)[::26]
+
+
+@pytest.mark.parametrize("sigma", ORACLE_SIGMAS)
+def test_blur_is_scipys_filter_bit_for_bit_on_the_noisy_study_scene(sigma, study_frames):
+    # every 26th frame's uint8 channel planes: strided views of the RGB array, their
+    # contiguous copies, and a strided crop like the ones segment_skin blurs
+    for frame in study_frames:
+        for c in range(3):
+            plane = frame.pixels[:, :, c]
+            for img in (plane, np.ascontiguousarray(plane), plane[37:151, 61:250]):
+                assert np.array_equal(kernels.gaussian_blur(img, sigma), scipy_blur(img, sigma))
+
+
+@pytest.mark.parametrize("sigma", ORACLE_SIGMAS)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16, np.uint8])
+def test_blur_is_scipys_filter_bit_for_bit_on_any_real_dtype(sigma, dtype):
+    rng = np.random.default_rng(8)
+    img = rng.uniform(0.0, 255.0, (37, 53)).astype(dtype)
+    for view in (img, img[::2, ::-3], img.T):
+        assert np.array_equal(kernels.gaussian_blur(view, sigma), scipy_blur(view, sigma))
+
+
+@pytest.mark.parametrize("sigma", ORACLE_SIGMAS)
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 5), (7, 2), (2, 21)])
+def test_blur_of_frames_smaller_than_the_tap_radius_is_scipys(sigma, shape):
+    # a radius of 21 taps (sigma 7) reflects repeatedly across a 1- or 2-pixel axis
+    rng = np.random.default_rng(9)
+    for img in (rng.integers(0, 256, shape, dtype=np.uint8), rng.normal(size=shape)):
+        assert np.array_equal(kernels.gaussian_blur(img, sigma), scipy_blur(img, sigma))
+
+
+def test_blur_rejects_an_empty_or_non_2d_array():
+    for img in (np.zeros((0, 4)), np.zeros(5), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError, match="2-D"):
+            kernels.gaussian_blur(img, 1.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     hnp.arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24), st.just(3))),
