@@ -342,3 +342,63 @@ class TestBundledSpecs:
         report = run_experiment(spec, out_dir=tmp_path)
         assert report["instructions"]["correct_instructions"] == 4
         assert report["instructions"]["token_accuracy_pct"] == 100.0
+
+
+def _bundled_spec(name):
+    from importlib import resources
+
+    raw = resources.files("diverkit").joinpath("data", "experiments", f"{name}.json").read_text()
+    return json.loads(raw)
+
+
+def _golden_spec(run):
+    if run in ("study_shape", "study_shape_noisy"):
+        spec = dict(_bundled_spec("study_instructions"), recognizer="shape")
+        if run == "study_shape_noisy":
+            spec["scene"] = dict(spec["scene"], noise_sigma=10.0, jitter=3, seed=5)
+        return spec
+    return _bundled_spec(run)
+
+
+# SHA-256 of every file each run writes. An intended output change updates this
+# table in the same change and names each old -> new digest.
+GOLDEN_DIGESTS = {
+    "table1_desk": {
+        "detections.jsonl": "0c4f03ee93a431a3c035b0d27eb47dd4efe630e2f902b76f8a38275c4a80d2e9",
+        "report.json": "e67f5e97f11ba17a23c67cff29d7877d3563a029db1d4b6d837253bd4fce11d1",
+        "truth.json": "f364b19b7578ad830e8615234bf47f243f4125b608b676489482ac56d7b3bc02",
+    },
+    "table1_desk_sideways": {
+        "detections.jsonl": "40634d8f07cdb4ba127757e5cefea55f756a8bc7ad212efeedec7f8d35bf1a37",
+        "report.json": "6657e074372518da87bd2f66b56f073157ba344dea7f57f519a100e21caf3f58",
+        "truth.json": "833662bb1cfda7902fff457c5bcf0f286e913d6597595a33fe9d02ba2d2d872d",
+    },
+    "follow_offsets": {
+        "follow_log.csv": "1811eb07fbeb96323e9a9461540672b10abe3edea9acd6bf2e5dc33b68386c88",
+        "report.json": "578dabd89d3073781ffaae4979837a830cb4c93f27cbb56766fc90f4bebf4c2f",
+    },
+    "study_instructions": {
+        "instructions.jsonl": "1e41a2010db352c8f0ad696b48fe0b191fe69c5567f05494f519c7dab7af680a",
+        "report.json": "ee73d0aec17812a78663ed49f191f271bb97d2a7d865d3d4e822c37bd26f3a32",
+        "tokens.jsonl": "3db6f944c487250fde9fa5bd54bdbcfb0cf9d008b8fdedd4491af411160bdc03",
+    },
+    "study_shape": {
+        "instructions.jsonl": "1e41a2010db352c8f0ad696b48fe0b191fe69c5567f05494f519c7dab7af680a",
+        "report.json": "fcc887945756f348315399c66eaf0765bf432d50e757502d5c0585ea679f48f0",
+        "tokens.jsonl": "037d785969632e3abd6e85cedc2926f58c499ad22557c15f2c38dc5f52c99426",
+    },
+    "study_shape_noisy": {
+        "instructions.jsonl": "1e41a2010db352c8f0ad696b48fe0b191fe69c5567f05494f519c7dab7af680a",
+        "report.json": "ac1af9662673221cc4d7b77b11bbaf5f8eb859e4d6a4721c0d58093e542a2946",
+        "tokens.jsonl": "da92437e162d53a6bf3ffc23a9fa93938912bf2fddf3add5c2cc3c4f520da927",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_DIGESTS))
+def test_bundled_outputs_match_golden_digests(run, tmp_path):
+    import hashlib
+
+    run_experiment(_golden_spec(run), out_dir=tmp_path)
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert digests == GOLDEN_DIGESTS[run]
