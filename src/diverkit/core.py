@@ -186,8 +186,9 @@ def band_bin_range(slide: int, fps: float, band: tuple[float, float]) -> range:
 
 
 # The largest evidence blur sigma. Its taps reach 3 sigma = 300 px, so they span
-# 601 px, wider than any bundled frame (320 px at most); the blur matrix takes time
-# linear in sigma to build, so a larger value would stall a run before its first frame.
+# 601 px, wider than any bundled frame (320 px at most). The blur matrix takes time
+# linear in sigma and quadratic in the frame side to build (at this sigma 75 ms for
+# 320 px, 0.3 s for 640 px on 2 CPUs), so a larger value would stall a run's start.
 GAUSS_SIGMA_MAX = 100.0
 
 
@@ -393,8 +394,32 @@ def load_tracker_config(path: str | Path) -> TrackerConfig:
     return TrackerConfig.from_dict(read_json(path, "tracker config"))
 
 
+# The largest window count M and slide size T a tracker takes. Its transition
+# matrix is built from an (M, M, 2) float64 array and its DFT is a (T, T) complex128
+# matrix, each 16 N^2 bytes: 256 MiB at these sizes, up to three times that while
+# built, but 87.9 GiB at M = 76,800 (1x1 windows on 320x240) and 149 GiB at T = 10^5.
+WINDOWS_MAX = 4096
+SLIDE_MAX = 4096
+
+
 def grid_for(cfg: TrackerConfig, frame_w: int, frame_h: int) -> GridConfig:
+    """The window grid of ``cfg`` on ``frame_w`` x ``frame_h`` frames.
+
+    Refuses, before any tracker array is built, a grid or slide size whose arrays
+    could not be allocated.
+    """
+    if cfg.slide > SLIDE_MAX:
+        raise ValidationError(
+            f"slide size T = {cfg.slide} exceeds {SLIDE_MAX}: its (T, T) DFT matrix "
+            f"would take {16 * cfg.slide**2 / 2**30:.1f} GiB"
+        )
     grid = GridConfig(frame_w, frame_h, cfg.window_w, cfg.window_h)
+    if grid.num_windows > WINDOWS_MAX:
+        raise ValidationError(
+            f"window count M = {grid.num_windows} of {cfg.window_w}x{cfg.window_h} windows "
+            f"on a {frame_w}x{frame_h} frame exceeds {WINDOWS_MAX}: its (M, M, 2) "
+            f"transition array would take {16 * grid.num_windows**2 / 2**30:.1f} GiB"
+        )
     if cfg.pool > grid.num_windows:
         raise ValidationError(
             f"pool size {cfg.pool} exceeds the {grid.num_windows}-window grid"

@@ -42,7 +42,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .core import BoundingBox, Frame, ValidationError, read_fields
+from .core import BoundingBox, Frame, ValidationError, read_fields, to_json
 from .core import fields, finite, integer, optional  # table helper, converters
 
 
@@ -345,27 +345,19 @@ def extract_regions(mask: np.ndarray, min_area: int = MIN_HAND_AREA) -> list[Reg
 
 
 @dataclass
-class CacheEntry:
-    bbox: BoundingBox
-    centroid: tuple[float, float]
-    area: int
-    frame_index: int
-
-
-@dataclass
 class RegionCache:
-    """Last accepted hand regions; entries expire after ``horizon`` frames."""
+    """Last accepted hand regions and their frames; a hand expires after ``horizon`` frames."""
 
     horizon: int = 30
-    left: CacheEntry | None = None
-    right: CacheEntry | None = None
+    left: tuple[Region, int] | None = None
+    right: tuple[Region, int] | None = None
 
-    def valid_entries(self, frame_index: int) -> list[CacheEntry]:
-        out = []
-        for entry in (self.left, self.right):
-            if entry is not None and frame_index - entry.frame_index <= self.horizon:
-                out.append(entry)
-        return out
+    def valid_entries(self, frame_index: int) -> list[Region]:
+        return [
+            region
+            for region, seen in filter(None, (self.left, self.right))
+            if frame_index - seen <= self.horizon
+        ]
 
 
 # a region is plausible if it lies within this many box sizes of a cached hand
@@ -444,13 +436,7 @@ class GesturePairToken:
         return (self.left, self.right)
 
     def to_record(self) -> dict:
-        return {
-            "frame": self.frame,
-            "left": self.left.name if self.left else None,
-            "right": self.right.name if self.right else None,
-            "conf_l": self.conf_left,
-            "conf_r": self.conf_right,
-        }
+        return {key: to_json(getattr(self, name)) for key, (name, _) in _TOKEN_KEYS.items()}
 
     @classmethod
     def from_record(cls, rec: dict) -> "GesturePairToken":
@@ -498,7 +484,7 @@ def recognize_pair(
     for side, (region, cls, conf) in hands.items():
         token[side], token[f"conf_{side}"] = cls, conf
         if cache is not None:
-            setattr(cache, side, CacheEntry(region.bbox, region.centroid, region.area, frame_index))
+            setattr(cache, side, (region, frame_index))
     return GesturePairToken(frame=frame_index, **token)
 
 

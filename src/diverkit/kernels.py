@@ -2,11 +2,11 @@
 
 The Gaussian blur of the gesture path, the blur matrix the tracker folds into
 its evidence projections, one Viterbi table update and a direct DFT. All return
-float64 arrays and are deterministic, and all run on numpy alone. The blur and
-the blur matrix share the taps, the boundary and the summation order of
-``scipy.ndimage.gaussian_filter``, and the tests hold both to scipy's output
-bit for bit, so no pipeline loads scipy or depends on the installed scipy's
-filter code.
+float64 arrays and are deterministic, and all run on numpy alone. The blur
+has the taps, the boundary and the summation order of
+``scipy.ndimage.gaussian_filter``, and the blur matrix is that blur applied to
+an identity matrix. The tests hold both to scipy's output bit for bit, so no
+pipeline loads scipy or depends on the installed scipy's filter code.
 Frames store RGB as uint8 and gray as float64, so the blur takes the uint8
 channel planes of an RGB frame as they are; the other kernels take float64.
 The Viterbi update reduces its transition matrix down columns, so it is
@@ -96,22 +96,15 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
 def blur_matrix(n: int, sigma: float) -> np.ndarray:
     """(n, n) matrix G such that ``G @ x`` is the 1-D blur of a length-n ``x``.
 
-    Column j is the blur of the j-th unit vector, with the taps and symmetric
-    boundary of :func:`gaussian_blur`, so ``G_h @ img @ G_w.T`` blurs an
-    (h, w) image; radii beyond ``n`` reflect repeatedly. The matrix equals
-    ``scipy.ndimage.gaussian_filter(np.eye(n), (sigma, 0))`` bit for bit: each
-    entry adds its taps in the order of :func:`_blur_axis0`, but the matrix is
-    built tap by tap, in time linear in ``n``, not by filtering an identity.
+    G is the blur of the identity along axis 0, with the taps, symmetric
+    boundary and summation order of :func:`gaussian_blur`, so column j is the
+    blur of the j-th unit vector and ``G_h @ img @ G_w.T`` blurs an (h, w)
+    image; radii beyond ``n`` reflect repeatedly. The matrix equals
+    ``scipy.ndimage.gaussian_filter(np.eye(n), (sigma, 0))`` bit for bit. Each
+    of the 2r + 1 taps costs one pass over an (n, n) array, so the build takes
+    time linear in sigma and quadratic in ``n``.
     """
-    taps = _taps(sigma)
-    radius, rows = len(taps) // 2, np.arange(n)
-    matrix = np.eye(n) * taps[radius]
-    for k in range(radius, 0, -1):
-        lo, hi = _reflect(rows - k, n), _reflect(rows + k, n)
-        # (x[lo] + x[hi]) * w for a unit vector x: 2w where both taps read one sample
-        matrix[rows, lo] += np.where(lo == hi, 2.0, 1.0) * taps[radius + k]
-        matrix[rows, hi] += (lo != hi) * taps[radius + k]
-    return matrix
+    return _blur_axis0(np.eye(n), _taps(sigma))
 
 
 def viterbi_step(

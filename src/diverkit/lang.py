@@ -17,7 +17,7 @@ emit anything; GO ends any started instruction and returns to idle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -191,13 +191,7 @@ class TaskSwitch:
             raise ValidationError("duration must be >= 1 s when present")
 
     def to_record(self) -> dict:
-        rec = {"type": "task_switch", "task": self.task}
-        if self.program is not None:
-            rec["program"] = self.program
-        if self.duration_s is not None:
-            rec["duration_s"] = self.duration_s
-        rec["emitted_at_frame"] = self.emitted_at_frame
-        return rec
+        return _record("task_switch", self)
 
 
 @dataclass(frozen=True)
@@ -215,12 +209,7 @@ class ParamReconfig:
             raise ValidationError(f"bad direction {self.direction!r}")
 
     def to_record(self) -> dict:
-        return {
-            "type": "param_reconfig",
-            "param": self.param,
-            "direction": self.direction,
-            "emitted_at_frame": self.emitted_at_frame,
-        }
+        return _record("param_reconfig", self)
 
 
 @dataclass(frozen=True)
@@ -231,18 +220,20 @@ class Snapshot:
     emitted_at_frame: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.duration_s < 1:
+        if self.duration_s is None or self.duration_s < 1:
             raise ValidationError("snapshot duration must be >= 1 s")
 
     def to_record(self) -> dict:
-        return {
-            "type": "snapshot",
-            "duration_s": self.duration_s,
-            "emitted_at_frame": self.emitted_at_frame,
-        }
+        return _record("snapshot", self)
 
 
 Instruction = TaskSwitch | ParamReconfig | Snapshot
+
+
+def _record(kind: str, instruction: Instruction) -> dict:
+    """An instruction's type and its fields, leaving out unset ones but ``emitted_at_frame``."""
+    values = asdict(instruction).items()
+    return {"type": kind, **{k: v for k, v in values if v is not None or k == "emitted_at_frame"}}
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +343,21 @@ def step_fsm(
 
 
 def _finish(state: DecoderState) -> Instruction | None:
-    """Instruction for a GO arriving in ``state``; None if ungrammatical."""
-    if state.phase not in (*_NUMBERED, Phase.ARMED):
-        return None
+    """Instruction for a GO arriving in ``state``; None if ungrammatical, which
+    includes a number that the instruction's own checks refuse."""
     try:
         number = int(state.digits) if state.digits else None
-    except ValueError:  # more digits than Python converts (sys.get_int_max_str_digits)
+        if state.phase is Phase.TASK_CHOSEN:
+            return TaskSwitch(task=state.task, duration_s=number)
+        if state.phase is Phase.AWAIT_PROGRAM_NUM:
+            return TaskSwitch(task="EXECUTE", program=number)
+        if state.phase is Phase.AWAIT_SNAP_DURATION:
+            return Snapshot(duration_s=number)
+        if state.phase is Phase.ARMED:
+            return ParamReconfig(param=number, direction=state.direction)
+    except ValueError:  # a number the instruction refuses, or too many digits for int()
         return None
-    if state.phase is Phase.TASK_CHOSEN:
-        return None if number == 0 else TaskSwitch(task=state.task, duration_s=number)
-    if state.phase is Phase.ARMED:
-        return ParamReconfig(param=number, direction=state.direction)
-    if number is None:
-        return None
-    if state.phase is Phase.AWAIT_PROGRAM_NUM:
-        return TaskSwitch(task="EXECUTE", program=number)
-    return Snapshot(duration_s=number) if number >= 1 else None
+    return None
 
 
 class StreamDecoder:

@@ -165,11 +165,6 @@ def _check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
-def _disk_mask(width: int, height: int, cx: float, cy: float, r: float) -> np.ndarray:
-    ys, xs = np.ogrid[:height, :width]
-    return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
-
-
 def render_diver_sequence(
     spec: DiverSceneSpec, window: tuple[int, int] = (30, 30)
 ) -> tuple[list[Frame], GroundTruth]:
@@ -180,12 +175,11 @@ def render_diver_sequence(
     frames = []
     centers = []
     windows = []
+    ys, xs = np.ogrid[: spec.height, : spec.width]
     for t in range(spec.frames):
         cx, cy = spec.center_at(t)
         img = np.full((spec.height, spec.width), spec.background)
-        img[_disk_mask(spec.width, spec.height, cx, cy, spec.flipper.radius)] = (
-            spec.blob_intensity(t)
-        )
+        img[_disk(xs, ys, cx, cy, spec.flipper.radius)] = spec.blob_intensity(t)
         if spec.noise_sigma > 0:
             img += rng.normal(0.0, spec.noise_sigma, img.shape)
         frames.append(Frame(quantize(img), index=t, fps=spec.fps))

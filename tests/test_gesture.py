@@ -12,7 +12,6 @@ from scipy.spatial import ConvexHull, QhullError  # only the qhull oracle below 
 from diverkit import gesture, kernels, synth
 from diverkit.core import Frame, ValidationError
 from diverkit.gesture import (
-    CacheEntry,
     GestureClass,
     SKIN_HSV,
     GesturePairToken,
@@ -654,7 +653,7 @@ class TestRejectOutliers:
         region = self._region(cx, cy)
         return RegionCache(
             horizon=30,
-            left=CacheEntry(region.bbox, region.centroid, region.area, frame_index),
+            left=(region, frame_index),
         )
 
     def test_no_cache_is_identity(self):
@@ -754,7 +753,7 @@ class TestRecognizePair:
         frame = self._scene(GestureClass.zero, GestureClass.pic)
         recognize_pair(frame, cache, self.BANK, SKIN_HSV, frame_index=3)
         assert cache.left is not None and cache.right is not None
-        assert cache.left.frame_index == 3
+        assert cache.left[1] == 3
 
     def test_determinism(self):
         frame = self._scene(GestureClass.three, GestureClass.four, noise_sigma=10.0, seed=4)

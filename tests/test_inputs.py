@@ -12,6 +12,7 @@ import math
 import shutil
 import sys
 import tempfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
@@ -151,6 +152,17 @@ CASES = {
     "bench-M-not-integer": ({}, ["bench", "--M", "abc", "--T", "15"]),
     "bench-T-zero": ({}, ["bench", "--M", "4", "--T", "15,0"]),
     "bench-cycles-negative": ({}, ["bench", "--M", "4", "--T", "15", "--cycles", "-1"]),
+    # sizes whose arrays cannot be allocated: (T, T) complex at 149 GiB, (M, M, 2) at 87.9 GiB
+    "bench-T-beyond-cap": ({}, ["bench", "--M", "4", "--T", "15,100000"]),
+    "bench-M-beyond-cap": ({}, ["bench", "--M", "25,76800", "--T", "15"]),
+    "track-config-one-pixel-windows": (  # M = 8100 on the 90x90 sequence
+        {"tracker.json": {"window": [1, 1]}},
+        ["track", "--seq", "{seq}", "--config", "{d}/tracker.json"],
+    ),
+    "track-config-T-beyond-cap": (
+        {"tracker.json": {"T": 100000, "stride": 1}},
+        ["track", "--seq", "{seq}", "--config", "{d}/tracker.json"],
+    ),
     "gesture-fps-nan": (
         {"spec.json": '{"segments": [{"left": "one", "frames": 2}], "fps": NaN}'},
         SYNTH + ["--kind", "gesture"],
@@ -192,6 +204,10 @@ RANGE_CASES = {
     "synth-flipper-radius-negative": "radius",
     "synth-flipper-radius-zero": "radius",
     "track-config-sigma-above-cap": "gauss_sigma",
+    "bench-T-beyond-cap": "slide size T",
+    "bench-M-beyond-cap": "window count M",
+    "track-config-one-pixel-windows": "window count M",
+    "track-config-T-beyond-cap": "slide size T",
 }
 
 # one case per command family, also run as a child process
@@ -268,6 +284,18 @@ def test_error_line_names_the_key(case, key, tmp_path, diver_seq, capsys):
     err = capsys.readouterr().err
     assert_one_error_line(err)
     assert key in err
+
+
+@pytest.mark.parametrize("case", [c for c in RANGE_CASES if "beyond-cap" in c or "pixel" in c])
+def test_size_refusal_comes_before_the_large_arrays(case, tmp_path, diver_seq, capsys):
+    argv = case_argv(case, tmp_path, diver_seq)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 @pytest.mark.parametrize("recognizer", ["oracle", "shape"])

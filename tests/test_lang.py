@@ -200,6 +200,16 @@ class TestFsm:
     def test_snapshot_requires_positive_duration(self):
         assert self.run_tokens(["CONTD", "SNAPSHOT", "DIGIT_0", "GO"]) == []
 
+    @pytest.mark.parametrize(
+        "names", [["CONTD", "SNAPSHOT", "GO"], ["STOP", "HOVER", "DIGIT_0", "GO"]]
+    )
+    def test_number_the_instruction_refuses_is_ungrammatical(self, names):
+        assert self.run_tokens(names) == []
+
+    def test_snapshot_without_duration_is_refused(self):
+        with pytest.raises(ValidationError, match="snapshot duration"):
+            Snapshot(duration_s=None)
+
     def test_param_requires_direction(self):
         assert self.run_tokens(["CONTD", "PARAM", "DIGIT_2", "GO"]) == []
 

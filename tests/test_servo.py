@@ -7,6 +7,7 @@ import pytest
 from diverkit.core import BoundingBox, ValidationError, to_json
 from diverkit.servo import (
     MISS_DECAY,
+    FollowScene,
     FollowWorld,
     Pid,
     PidBank,
@@ -176,6 +177,22 @@ class TestFollowLoop:
         rows = follow_loop(world.observe, bank, duration_s=5.0, fps=10.0)
         yaws = [abs(row.state.yaw) for row in rows]
         assert max(yaws) < 0.01
+
+    @pytest.mark.parametrize("ox, oy", [(0.5, 0.3), (0.8, -0.4), (0.2, 0.0), (-0.7, 0.6)])
+    def test_mirrored_offset_mirrors_every_step(self, ox, oy, tmp_path):
+        config = load_gains()
+        rows = FollowScene(offset_x=ox, offset_y=oy).run(config, tmp_path / "a.csv")
+        mirrored = FollowScene(offset_x=-ox, offset_y=oy).run(config, tmp_path / "b.csv")
+
+        def values(row):  # every row of these scenes sees the diver, so errors are set
+            return [*astuple(row.state), *row.errors, *astuple(row.cmd)]
+
+        # a left-right mirror negates y and yaw, ex and the yaw rate
+        flip = np.array([1, -1, 1, -1, 1, -1, 1, 1, -1, 1, 1, 1])
+        assert len(rows) == len(mirrored) == 100
+        for row, twin in zip(rows, mirrored):
+            assert twin.t == row.t and twin.detected == row.detected
+            assert np.allclose(flip * values(row), values(twin), rtol=0, atol=1e-12)
 
     def test_log_csv_columns(self, tmp_path):
         config = ServoConfig()

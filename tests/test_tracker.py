@@ -501,6 +501,15 @@ class TestDetectionCycle:
                 assert lo.detected
 
 
+@pytest.fixture(scope="module")
+def desk_frames():
+    """The frames of the bundled ``table1_desk`` experiment's scene."""
+    from importlib import resources
+
+    raw = resources.files("diverkit").joinpath("data", "experiments", "table1_desk.json")
+    return render(synth.DiverSceneSpec.from_dict(json.loads(raw.read_text())["scene"]))[0]
+
+
 class TestTrackSequence:
     def _frames(self, count):
         spec = synth.DiverSceneSpec(
@@ -555,6 +564,20 @@ class TestTrackSequence:
         assert len(from_stream) == (50 - 15) // stride + 1
         assert [r.to_record() for r in from_stream] == [r.to_record() for r in from_list]
         for a, b in zip(from_stream, from_list):
+            assert (a.trajectory == b.trajectory).all() and a.pool_scores == b.pool_scores
+
+    @pytest.mark.parametrize("stride", [15, 5, 1])
+    def test_dropping_one_stride_of_frames_drops_the_first_cycle(self, stride, desk_frames):
+        cfg = TrackerConfig(stride=stride)
+        whole = track_sequence(desk_frames, cfg)
+        shifted = track_sequence(desk_frames[stride:], cfg)
+
+        def records(results):
+            return [{**r.to_record(), "cycle": None} for r in results]
+
+        assert len(shifted) == len(whole) - 1
+        assert records(shifted) == records(whole[1:])
+        for a, b in zip(shifted, whole[1:]):
             assert (a.trajectory == b.trajectory).all() and a.pool_scores == b.pool_scores
 
     def test_deterministic_across_runs(self):
