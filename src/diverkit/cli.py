@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__, harness, lang, raster, servo, synth, tracker
 from .core import TrackerConfig, ValidationError, grid_for, integer, load_tracker_config
-from .core import read_json, write_jsonl
+from .core import read_json, write_json, write_jsonl
 from .gesture import RECOGNIZERS, GesturePairToken, recognize_sequence
 from .tracker import StateError
 
@@ -156,13 +155,6 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _grid_shape(num_windows: int) -> tuple[int, int]:
-    cols = max(int(math.isqrt(num_windows)), 1)
-    while num_windows % cols:
-        cols += 1
-    return cols, num_windows // cols
-
-
 def _counts(flag: str, value: str) -> list[int]:
     """A flag's comma-separated counts, each an integer >= 1."""
     try:
@@ -174,49 +166,59 @@ def _counts(flag: str, value: str) -> list[int]:
     return counts
 
 
+# The most bytes of the (cycles, T, M) float64 evidence that bench draws up front for
+# one row: 1 GiB is 2^27 evidence values, 46,603 cycles at M = 192 and T = 15, or
+# 8 cycles at the largest M = T = 4096.
+BENCH_EVIDENCE_MAX = 2**30
+
+
 def cmd_bench(args) -> int:
     m_list, t_list = _counts("--M", args.M), _counts("--T", args.T)
     if args.cycles < 1:
         raise ValidationError(f"--cycles must be >= 1, got {args.cycles}")
+    # each tracker has its M windows in one row: the table update costs M^2 in any layout;
+    # every size is checked before the header, so a refusal comes before any output
+    sizes = [(m, TrackerConfig(slide=t, pool=min(5, m), stride=t)) for m in m_list for t in t_list]
+    for m, cfg in sizes:
+        grid_for(cfg, 30 * m, 30)
+        if 8 * args.cycles * cfg.slide * m > BENCH_EVIDENCE_MAX:
+            raise ValidationError(
+                f"--cycles {args.cycles} at M = {m}, T = {cfg.slide} would draw "
+                f"{8 * args.cycles * cfg.slide * m / 2**30:.1f} GiB of evidence, over 1 GiB"
+            )
     rng = np.random.default_rng(args.seed)
     rows = []
     header = f"{'M':>6} {'T':>4} {'backend':>8} {'cycles':>7} {'trans_evals':>12} {'dft_mults':>10} {'ms/cycle':>9}"
     print(header)
-    for m in m_list:
-        cols, grid_rows = _grid_shape(m)
-        for t in t_list:
-            cfg = TrackerConfig(slide=t, pool=min(5, m), stride=t)
-            trk = tracker.Tracker(cfg, cols * 30, grid_rows * 30)
-            evidence = rng.uniform(0.0, 255.0, (args.cycles, t, m))
-            start = time.perf_counter()
-            for k in range(args.cycles):
-                trk.detect(evidence[k], k)
-            elapsed = time.perf_counter() - start
-            counters = trk.counters
-            expected = args.cycles * t * m * m
-            if counters.transition_evals != expected:
-                raise StateError(
-                    f"counter mismatch: {counters.transition_evals} != {expected}"
-                )
-            row = {
-                "M": m,
-                "T": t,
-                "backend": args.backend,
-                "cycles": args.cycles,
-                "transition_evals": counters.transition_evals,
-                "dft_mults": counters.dft_mults,
-                "ms_per_cycle": 1000.0 * elapsed / args.cycles,
-            }
-            rows.append(row)
-            print(
-                f"{m:>6} {t:>4} {args.backend:>8} {args.cycles:>7} "
-                f"{counters.transition_evals:>12} {counters.dft_mults:>10} "
-                f"{row['ms_per_cycle']:>9.3f}"
-            )
+    for m, cfg in sizes:
+        t = cfg.slide
+        trk = tracker.Tracker(cfg, 30 * m, 30)
+        evidence = rng.uniform(0.0, 255.0, (args.cycles, t, m))
+        start = time.perf_counter()
+        for k in range(args.cycles):
+            trk.detect(evidence[k], k)
+        elapsed = time.perf_counter() - start
+        counters = trk.counters
+        expected = args.cycles * t * m * m
+        if counters.transition_evals != expected:
+            raise StateError(f"counter mismatch: {counters.transition_evals} != {expected}")
+        row = {
+            "M": m,
+            "T": t,
+            "backend": args.backend,
+            "cycles": args.cycles,
+            "transition_evals": counters.transition_evals,
+            "dft_mults": counters.dft_mults,
+            "ms_per_cycle": 1000.0 * elapsed / args.cycles,
+        }
+        rows.append(row)
+        print(
+            f"{m:>6} {t:>4} {args.backend:>8} {args.cycles:>7} "
+            f"{counters.transition_evals:>12} {counters.dft_mults:>10} "
+            f"{row['ms_per_cycle']:>9.3f}"
+        )
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, rows)
     return 0
 
 

@@ -13,7 +13,8 @@ Every JSON config, spec and record is read by :func:`read_json` and
 :func:`read_fields` (a key -> (field, converter) table), so malformed input
 becomes one :class:`ValidationError` naming the file or the key. Configs and
 scenes are written back from their fields by :func:`to_json`; every JSONL
-record file is written by :func:`write_jsonl`.
+record file is written by :func:`write_jsonl` and every JSON document by
+:func:`write_json`.
 """
 
 from __future__ import annotations
@@ -295,6 +296,11 @@ def write_jsonl(path, items) -> None:
         Path(path).write_text(lines)
 
 
+def write_json(path, value, indent: int | None = 2) -> None:
+    """Write ``value`` as one sorted-key JSON document and a newline."""
+    Path(path).write_text(json.dumps(value, indent=indent, sort_keys=True) + "\n")
+
+
 def read_fields(raw: dict, table: dict, what: str, required: tuple = ()) -> dict:
     """Keyword arguments from a JSON object via a key -> (field, converter) table.
 
@@ -395,9 +401,10 @@ def load_tracker_config(path: str | Path) -> TrackerConfig:
 
 
 # The largest window count M and slide size T a tracker takes. Its transition
-# matrix is built from an (M, M, 2) float64 array and its DFT is a (T, T) complex128
-# matrix, each 16 N^2 bytes: 256 MiB at these sizes, up to three times that while
-# built, but 87.9 GiB at M = 76,800 (1x1 windows on 320x240) and 149 GiB at T = 10^5.
+# matrix is built on two (M, M) float64 coordinate differences and its DFT is a
+# (T, T) complex128 matrix, each 16 N^2 bytes at the peak of its build: 256 MiB at
+# these sizes, but 87.9 GiB at M = 76,800 (1x1 windows on 320x240) and 149 GiB at
+# T = 10^5.
 WINDOWS_MAX = 4096
 SLIDE_MAX = 4096
 
@@ -417,8 +424,8 @@ def grid_for(cfg: TrackerConfig, frame_w: int, frame_h: int) -> GridConfig:
     if grid.num_windows > WINDOWS_MAX:
         raise ValidationError(
             f"window count M = {grid.num_windows} of {cfg.window_w}x{cfg.window_h} windows "
-            f"on a {frame_w}x{frame_h} frame exceeds {WINDOWS_MAX}: its (M, M, 2) "
-            f"transition array would take {16 * grid.num_windows**2 / 2**30:.1f} GiB"
+            f"on a {frame_w}x{frame_h} frame exceeds {WINDOWS_MAX}: building its (M, M) "
+            f"transition matrix would take {16 * grid.num_windows**2 / 2**30:.1f} GiB"
         )
     if cfg.pool > grid.num_windows:
         raise ValidationError(

@@ -13,19 +13,19 @@ function of the spec's seeds, so reports are byte-identical across runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import lang, raster, servo, synth, tracker
 from .core import DetectionResult, GridConfig, TrackerConfig, ValidationError, grid_for, read_json
-from .core import fields, read_fields, to_json, write_jsonl  # table helpers, writers
+from .core import fields, read_fields, to_json, write_json, write_jsonl  # table helpers, writers
 from .gesture import recognize_sequence
 from .synth import DiverSceneSpec, GestureSceneSpec, GroundTruth
 
 POSITIVE = "positive"
 MISSED = "missed"
 WRONG = "wrong"
+KINDS = (POSITIVE, MISSED, WRONG)
 TOLERANCE_WINDOWS = 1  # the largest Chebyshev grid distance of a positive detection
 
 
@@ -50,18 +50,14 @@ class DetectionReport:
         """Rows in 'count (pct%)' form, one per category."""
         return [
             f"{kind.capitalize()} detection: {self.count(kind)} ({self.percentage(kind):.1f}%)"
-            for kind in (POSITIVE, MISSED, WRONG)
+            for kind in KINDS
         ]
 
     def to_dict(self) -> dict:
         return {
             "cycles": self.cycles,
-            "positive": self.count(POSITIVE),
-            "missed": self.count(MISSED),
-            "wrong": self.count(WRONG),
-            "positive_pct": self.percentage(POSITIVE),
-            "missed_pct": self.percentage(MISSED),
-            "wrong_pct": self.percentage(WRONG),
+            **{kind: self.count(kind) for kind in KINDS},
+            **{f"{kind}_pct": self.percentage(kind) for kind in KINDS},
             "tolerance_windows": TOLERANCE_WINDOWS,
             "per_cycle": list(self.classifications),
             "config": self.config,
@@ -126,14 +122,10 @@ class InstructionReport:
             raise ValidationError("correct tokens exceed the total")
 
     def instruction_accuracy(self) -> float:
-        if self.total_instructions == 0:
-            return 100.0
-        return 100.0 * self.correct_instructions / self.total_instructions
+        return _accuracy(self.correct_instructions, self.total_instructions)
 
     def token_accuracy(self) -> float:
-        if self.total_tokens == 0:
-            return 100.0
-        return 100.0 * self.correct_tokens / self.total_tokens
+        return _accuracy(self.correct_tokens, self.total_tokens)
 
     def to_dict(self) -> dict:
         return {
@@ -144,6 +136,11 @@ class InstructionReport:
             "instruction_accuracy_pct": self.instruction_accuracy(),
             "token_accuracy_pct": self.token_accuracy(),
         }
+
+
+def _accuracy(correct: int, total: int) -> float:
+    """Percentage correct; nothing to get right counts as all right."""
+    return 100.0 * correct / total if total else 100.0
 
 
 def score_instructions(
@@ -165,14 +162,6 @@ def score_instructions(
 # experiments
 # ---------------------------------------------------------------------------
 
-# experiment kind -> the other keys its spec may hold
-_SPEC_KEYS = {
-    "track": ("scene", "tracker", "out"),
-    "decode": ("scene", "recognizer", "mapping", "out"),
-    "follow": ("scene", "gains", "out"),
-}
-EXPERIMENT_KINDS = tuple(_SPEC_KEYS)
-
 
 def run_experiment(spec: dict, out_dir: str | Path | None = None) -> dict:
     """Run one experiment spec; writes report.json plus logs, returns the report."""
@@ -183,8 +172,9 @@ def run_experiment(spec: dict, out_dir: str | Path | None = None) -> dict:
         raise ValidationError(
             f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}"
         )
+    run, keys = _EXPERIMENTS[kind]
     required = ("scene",) if out_dir is not None else ("scene", "out")
-    table = fields(("kind", *_SPEC_KEYS[kind]), lambda value: value)
+    table = fields(("kind", *keys), lambda value: value)
     spec = read_fields(spec, table, "experiment spec", required)
     out = out_dir if out_dir is not None else spec["out"]
     if not isinstance(out, (str, Path)):
@@ -192,17 +182,8 @@ def run_experiment(spec: dict, out_dir: str | Path | None = None) -> dict:
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if kind == "track":
-        report = _run_track(spec, out)
-    elif kind == "decode":
-        report = _run_decode(spec, out)
-    else:
-        report = _run_follow(spec, out)
-
-    report = {"kind": kind, **report}
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report = {"kind": kind, **run(spec, out)}
+    write_json(out / "report.json", report)
     return report
 
 
@@ -274,3 +255,12 @@ def _run_follow(spec: dict, out: Path) -> dict:
         "steps": len(rows),
         "final": final,
     }
+
+
+# experiment kind -> (runner, the other keys its spec may hold)
+_EXPERIMENTS = {
+    "track": (_run_track, ("scene", "tracker", "out")),
+    "decode": (_run_decode, ("scene", "recognizer", "mapping", "out")),
+    "follow": (_run_follow, ("scene", "gains", "out")),
+}
+EXPERIMENT_KINDS = tuple(_EXPERIMENTS)

@@ -135,9 +135,17 @@ def viterbi_step(
 
 @functools.lru_cache(maxsize=16)
 def dft_twiddle(size: int) -> np.ndarray:
-    """Read-only (size, size) DFT matrix ``exp(-2j pi t k / size)``."""
+    """Read-only (size, size) DFT matrix ``exp(-2j pi t k / size)``.
+
+    Built in place, in the operation order of that expression, so the build
+    holds no array but the 16 size^2 byte result.
+    """
     t = np.arange(size)
-    twiddle = np.exp(-2j * np.pi * np.outer(t, t) / size)
+    twiddle = np.empty((size, size), dtype=np.complex128)
+    np.multiply.outer(t, t, out=twiddle)
+    twiddle *= -2j * np.pi
+    twiddle /= size
+    np.exp(twiddle, out=twiddle)
     twiddle.setflags(write=False)
     return twiddle
 

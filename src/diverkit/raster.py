@@ -13,7 +13,6 @@ list.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections.abc import Iterator
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Frame, ValidationError, quantize, read_json
+from .core import Frame, ValidationError, quantize, read_json, write_json
 
 
 class CorruptFrameError(OSError):
@@ -102,9 +101,7 @@ def write_sequence(directory: str | Path, frames: list[Frame]) -> None:
         "channels": first.channels,
         "frame_count": len(frames),
     }
-    with open(directory / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / "manifest.json", manifest)
 
 
 def _read_json_object(path: Path, what: str) -> dict:
@@ -166,9 +163,7 @@ def read_sequence(directory: str | Path) -> list[Frame]:
 
 
 def write_truth(directory: str | Path, truth: dict) -> None:
-    with open(Path(directory) / "truth.json", "w") as fh:
-        json.dump(truth, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(Path(directory) / "truth.json", truth, indent=None)
 
 
 def read_truth(directory: str | Path) -> dict | None:

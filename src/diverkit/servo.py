@@ -316,6 +316,12 @@ def write_follow_log(path: str | Path, rows: list[FollowLogRow]) -> None:
             writer.writerow(row.to_csv_row())
 
 
+# The most control steps (duration_s x fps) a follow scene runs. Every step's log row
+# is kept, about 750 bytes in memory and 120 in the CSV, so this cap holds 75 MB of
+# rows and 12 MB of log: 2.8 hours at 10 fps. The bundled scenes run 100 steps.
+FOLLOW_STEPS_MAX = 100_000
+
+
 @dataclass(frozen=True)
 class FollowScene:
     """One follow run: the diver starts at fractional image offsets (1 = the
@@ -333,8 +339,12 @@ class FollowScene:
                 raise ValidationError(f"follow scene {name} must be finite, got {value}")
         if self.fps <= 0:
             raise ValidationError("follow scene fps must be positive")
-        if not 0.5 < self.duration_s * self.fps < math.inf:  # follow_loop rounds to steps
-            raise ValidationError("follow scene must last a finite number of control steps >= 1")
+        steps = self.duration_s * self.fps  # follow_loop rounds it to whole steps
+        if not 0.5 < steps < FOLLOW_STEPS_MAX + 0.5:
+            raise ValidationError(
+                f"follow scene duration_s x fps must give 1 to {FOLLOW_STEPS_MAX} "
+                f"control steps, got {steps:g}"
+            )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FollowScene":

@@ -160,6 +160,22 @@ _TRUTH_KEYS = {
 }
 
 
+# The most pixels a scene renders, frames x width x height. A render is held in
+# memory: gray diver frames as float64, 8 bytes a pixel (1 GiB at this cap), RGB
+# gesture frames as bytes, 3 a pixel (384 MiB). The bundled scenes render 23 million.
+# The render refuses a larger scene; the spec itself validates, as a spec's other
+# uses (its path's centers, its segment plan) hold no frame.
+RENDER_PIXELS_MAX = 2**27
+
+
+def _check_render_size(what: str, frames: int, width: int, height: int) -> None:
+    if frames * width * height > RENDER_PIXELS_MAX:
+        raise ValidationError(
+            f"{what} frames x width x height = {frames} x {width} x {height} "
+            f"exceeds {RENDER_PIXELS_MAX} pixels"
+        )
+
+
 def _check_seed(seed: int) -> None:
     if seed < 0:  # np.random.default_rng takes non-negative seeds only
         raise ValidationError(f"seed must be >= 0, got {seed}")
@@ -170,6 +186,7 @@ def render_diver_sequence(
 ) -> tuple[list[Frame], GroundTruth]:
     """Render a diver scene; truth holds per-frame centers and the index of
     the window containing the center on a ``window``-sized grid."""
+    _check_render_size("diver scene", spec.frames, spec.width, spec.height)
     grid = GridConfig(spec.width, spec.height, window[0], window[1])
     rng = np.random.default_rng(spec.seed)
     frames = []
@@ -353,6 +370,7 @@ def hand_anchor(spec: GestureSceneSpec, person_side: str) -> tuple[int, int]:
 def render_gesture_sequence(
     spec: GestureSceneSpec,
 ) -> tuple[list[Frame], GroundTruth]:
+    _check_render_size("gesture scene", spec.frames, spec.width, spec.height)
     rng = np.random.default_rng(spec.seed)
     background = np.empty((spec.height, spec.width, 3))
     background[:] = spec.background

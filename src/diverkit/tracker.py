@@ -79,14 +79,22 @@ def transition_log_matrix(grid: GridConfig) -> np.ndarray:
     """Read-only log transition matrix; row i is the normalized distribution over j.
 
     Stored in Fortran order: :func:`kernels.viterbi_step` maximizes down each
-    column j, and that reads contiguous memory.
+    column j, and that reads contiguous memory. It is built in place on the two
+    (M, M) coordinate differences: 16 M^2 bytes at the peak, for 8 M^2 kept.
     """
     m = grid.num_windows
-    centers = np.array([window_center(grid, i) for i in range(m)])
-    diff = centers[:, None, :] - centers[None, :, :]
-    raw = 1.0 / (1.0 + np.sqrt((diff**2).sum(axis=2)))
-    probs = raw / raw.sum(axis=1, keepdims=True)
-    log_trans = np.asfortranarray(np.log(probs))
+    cx, cy = np.array([window_center(grid, i) for i in range(m)]).T
+    raw, dy = cx[:, None] - cx[None, :], cy[:, None] - cy[None, :]
+    raw *= raw
+    dy *= dy
+    raw += dy
+    np.sqrt(raw, out=raw)
+    raw += 1.0
+    np.divide(1.0, raw, out=raw)
+    # raw is symmetric, so its transpose, in Fortran order, is the same matrix
+    log_trans = raw.T
+    log_trans /= raw.sum(axis=1)[:, None]
+    np.log(log_trans, out=log_trans)
     log_trans.setflags(write=False)
     return log_trans
 

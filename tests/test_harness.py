@@ -360,16 +360,17 @@ def _golden_spec(run):
     return _bundled_spec(run)
 
 
-# SHA-256 of every file each run writes. An intended output change updates this
-# table in the same change and names each old -> new digest.
+# SHA-256 of every file each run writes, but for detections.jsonl that of its records
+# without "score" (see GOLDEN_SCORES). An intended output change updates these tables
+# in the same change and names each old -> new digest.
 GOLDEN_DIGESTS = {
     "table1_desk": {
-        "detections.jsonl": "0c4f03ee93a431a3c035b0d27eb47dd4efe630e2f902b76f8a38275c4a80d2e9",
+        "detections.jsonl": "5e573196c17f7c182f1894aaf966be0cedd1bfe358e0e6daed7b90aa33dec684",
         "report.json": "e67f5e97f11ba17a23c67cff29d7877d3563a029db1d4b6d837253bd4fce11d1",
         "truth.json": "f364b19b7578ad830e8615234bf47f243f4125b608b676489482ac56d7b3bc02",
     },
     "table1_desk_sideways": {
-        "detections.jsonl": "40634d8f07cdb4ba127757e5cefea55f756a8bc7ad212efeedec7f8d35bf1a37",
+        "detections.jsonl": "fda3010a392931ecee325b6c7c8eeb0a6e4683a8b1584f04ff76c10c4123ea93",
         "report.json": "6657e074372518da87bd2f66b56f073157ba344dea7f57f519a100e21caf3f58",
         "truth.json": "833662bb1cfda7902fff457c5bcf0f286e913d6597595a33fe9d02ba2d2d872d",
     },
@@ -395,10 +396,40 @@ GOLDEN_DIGESTS = {
 }
 
 
+# Each cycle's "score", in order. A score is a DFT amplitude of evidence from a matrix
+# product whose summation order the BLAS thread count can change: at one thread two
+# table1_desk_sideways scores move by up to 6.8e-16 relative, so scores are pinned to
+# SCORE_RTOL, with room for a gap 1000 times that.
+SCORE_RTOL = 1e-12
+GOLDEN_SCORES = {
+    "table1_desk": (
+        262.2090895370786, 173.50402289899776, 137.19491499507592, 168.68906578412088,
+        199.746756074249, 185.14180659640567, 199.17455415678592, 284.6716403917541,
+        225.94976423156515, 139.92460883508292, 146.15384190150561, 253.42475037083977,
+        250.1880860479648, 195.22193594529824, 179.03561944029423, 229.99108421409832,
+        171.36757686793945, 146.7729675794763, 187.08543845874365, 291.6293140259562,
+    ),
+    "table1_desk_sideways": (
+        168.22059024979808, 246.1800780020713, 218.23377993284691, 283.9553260423208,
+        168.11301311883764, 246.1982277175018, 218.00535224855395, 284.15443629858163,
+        168.2885946820035, 245.14403396076096, 218.29357603412987, 284.1304715316501,
+        167.90721192491802, 245.93939871070225, 217.69187979825986, 283.6565991432311,
+        168.06348758668628, 245.89766422142839, 217.50323993480848, 281.3311662682154,
+    ),
+}
+
+
 @pytest.mark.parametrize("run", sorted(GOLDEN_DIGESTS))
 def test_bundled_outputs_match_golden_digests(run, tmp_path):
     import hashlib
 
     run_experiment(_golden_spec(run), out_dir=tmp_path)
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    if run in GOLDEN_SCORES:
+        lines = (tmp_path / "detections.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        scores = [record.pop("score") for record in records]
+        assert scores == pytest.approx(GOLDEN_SCORES[run], rel=SCORE_RTOL, abs=0)
+        text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        digests["detections.jsonl"] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == GOLDEN_DIGESTS[run]

@@ -152,9 +152,26 @@ CASES = {
     "bench-M-not-integer": ({}, ["bench", "--M", "abc", "--T", "15"]),
     "bench-T-zero": ({}, ["bench", "--M", "4", "--T", "15,0"]),
     "bench-cycles-negative": ({}, ["bench", "--M", "4", "--T", "15", "--cycles", "-1"]),
-    # sizes whose arrays cannot be allocated: (T, T) complex at 149 GiB, (M, M, 2) at 87.9 GiB
+    # sizes whose arrays cannot be allocated: (T, T) complex at 149 GiB, two (M, M) at 87.9 GiB
     "bench-T-beyond-cap": ({}, ["bench", "--M", "4", "--T", "15,100000"]),
     "bench-M-beyond-cap": ({}, ["bench", "--M", "25,76800", "--T", "15"]),
+    # 491 GB of (cycles, T, M) evidence, 10^12 follow log rows, renders of 10^14 pixels and more
+    "bench-cycles-beyond-cap": ({}, ["bench", "--M", "4096", "--T", "15", "--cycles", "1000000"]),
+    "follow-duration-beyond-cap": ({}, FOLLOW + ["--duration-s", "1e12"]),
+    "experiment-follow-steps-beyond-cap": (
+        {"exp.json": follow_experiment({"duration_s": 1e9, "fps": 1e3})}, EXPERIMENT
+    ),
+    "synth-diver-frames-beyond-cap": (
+        {"spec.json": {"frames": 10**12}}, SYNTH + ["--kind", "diver"]
+    ),
+    "synth-diver-width-beyond-cap": ({"spec.json": {"width": 10**12}}, SYNTH + ["--kind", "diver"]),
+    "synth-gesture-frames-beyond-cap": (
+        {"spec.json": {"segments": [{"left": "one", "frames": 10**12}]}},
+        SYNTH + ["--kind", "gesture"],
+    ),
+    "synth-gesture-height-beyond-cap": (
+        {"spec.json": dict(ONE_HAND, height=10**12)}, SYNTH + ["--kind", "gesture"]
+    ),
     "track-config-one-pixel-windows": (  # M = 8100 on the 90x90 sequence
         {"tracker.json": {"window": [1, 1]}},
         ["track", "--seq", "{seq}", "--config", "{d}/tracker.json"],
@@ -206,6 +223,13 @@ RANGE_CASES = {
     "track-config-sigma-above-cap": "gauss_sigma",
     "bench-T-beyond-cap": "slide size T",
     "bench-M-beyond-cap": "window count M",
+    "bench-cycles-beyond-cap": "--cycles",
+    "follow-duration-beyond-cap": "duration_s",
+    "experiment-follow-steps-beyond-cap": "duration_s",
+    "synth-diver-frames-beyond-cap": "frames",
+    "synth-diver-width-beyond-cap": "width",
+    "synth-gesture-frames-beyond-cap": "frames",
+    "synth-gesture-height-beyond-cap": "height",
     "track-config-one-pixel-windows": "window count M",
     "track-config-T-beyond-cap": "slide size T",
 }
@@ -296,6 +320,13 @@ def test_size_refusal_comes_before_the_large_arrays(case, tmp_path, diver_seq, c
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("case", [c for c in RANGE_CASES if c.startswith("bench-")])
+def test_bench_refuses_before_its_first_line(case, tmp_path, diver_seq, capsys):
+    # every (M, T) and the evidence size are checked before the header and the first row
+    assert main(case_argv(case, tmp_path, diver_seq)) == 1
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("recognizer", ["oracle", "shape"])

@@ -639,3 +639,27 @@ def test_pool_matches_enumeration_on_random_grids(instance):
     got = top_p_trajectories(tables, cfg.pool)
     assert len(got) == cfg.pool
     check_pool_against_enumeration(got, evidence, cfg, log_trans, tables)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 30.0),
+    st.tuples(st.floats(0.0, 89.0), st.floats(0.0, 89.0)),
+    st.floats(0.5, 4.5),  # flipper frequency, in (0, fps / 2)
+    st.sampled_from([15, 5, 1]),
+)
+def test_time_shift_holds_over_scene_fields(seed, noise, start, frequency, stride):
+    # the scene-wide form of the table1_desk time shift: a cycle sees only its own frames
+    spec = synth.DiverSceneSpec(
+        frames=45, width=90, height=90, noise_sigma=noise, start=start,
+        flipper=synth.Flipper(frequency=frequency), seed=seed,
+    )
+    frames, _ = render(spec)
+    cfg = TrackerConfig(stride=stride)
+    whole = track_sequence(frames, cfg)
+    shifted = track_sequence(frames[stride:], cfg)
+    assert len(shifted) == len(whole) - 1
+    for a, b in zip(shifted, whole[1:]):
+        assert {**a.to_record(), "cycle": None} == {**b.to_record(), "cycle": None}
+        assert (a.trajectory == b.trajectory).all() and a.pool_scores == b.pool_scores
