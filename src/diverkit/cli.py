@@ -176,6 +176,8 @@ def cmd_bench(args) -> int:
     m_list, t_list = _counts("--M", args.M), _counts("--T", args.T)
     if args.cycles < 1:
         raise ValidationError(f"--cycles must be >= 1, got {args.cycles}")
+    if args.seed < 0:  # np.random.default_rng takes non-negative seeds only
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     # each tracker has its M windows in one row: the table update costs M^2 in any layout;
     # every size is checked before the header, so a refusal comes before any output
     sizes = [(m, TrackerConfig(slide=t, pool=min(5, m), stride=t)) for m in m_list for t in t_list]

@@ -23,6 +23,7 @@ import dataclasses
 import json
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -164,26 +165,16 @@ class BoundingBox:
 def band_bin_range(slide: int, fps: float, band: tuple[float, float]) -> range:
     """Bins k in [1, slide) whose frequency k * fps / slide lies in the band, 1e-9 slack.
 
-    The frequency rises with k, so the bins form a range: its ends are solved for
-    in closed form, then moved by a step or two until they agree with the test
-    on each bin's own frequency.
+    The frequency never falls as k rises, rounding included, so the bins form a
+    range, and bisection finds its ends with the test on each bin's own frequency.
     """
-    lo, hi = band[0] - 1e-9, band[1] + 1e-9
 
     def freq(k: int) -> float:
         return k * fps / slide
 
-    first = math.ceil(min(slide, max(1.0, lo * slide / fps)))
-    while first > 1 and freq(first - 1) >= lo:
-        first -= 1
-    while first < slide and freq(first) < lo:
-        first += 1
-    last = math.floor(min(slide - 1.0, max(0.0, hi * slide / fps)))
-    while last < slide - 1 and freq(last + 1) <= hi:
-        last += 1
-    while last >= first and freq(last) > hi:
-        last -= 1
-    return range(first, last + 1)
+    bins = range(1, slide)
+    first = bisect_left(bins, band[0] - 1e-9, key=freq)
+    return bins[first : bisect_right(bins, band[1] + 1e-9, lo=first, key=freq)]
 
 
 # The largest evidence blur sigma. Its taps reach 3 sigma = 300 px, so they span

@@ -406,8 +406,9 @@ def match_gesture(
     if not bank:
         raise ValidationError("template bank is empty")
 
+    # math.hypot, not np.linalg.norm: a BLAS dot would round per CPU kernel
     distances = [
-        (float(np.linalg.norm(region.descriptor - bank[cls])), cls)
+        (math.hypot(*(region.descriptor - bank[cls]).tolist()), cls)
         for cls in GestureClass
         if cls in bank
     ]

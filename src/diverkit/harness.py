@@ -177,7 +177,7 @@ def run_experiment(spec: dict, out_dir: str | Path | None = None) -> dict:
     table = fields(("kind", *keys), lambda value: value)
     spec = read_fields(spec, table, "experiment spec", required)
     out = out_dir if out_dir is not None else spec["out"]
-    if not isinstance(out, (str, Path)):
+    if not isinstance(out, (str, Path)) or out == "":  # Path("") is the working directory
         raise ValidationError(f"experiment spec 'out' must be a directory name, got {out!r}")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)

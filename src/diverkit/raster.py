@@ -27,7 +27,11 @@ class CorruptFrameError(OSError):
     """A frame file exists but cannot be parsed."""
 
 
-_HEADER = re.compile(rb"^(P[56])\s+(?:#.*\s+)*(\d+)\s+(?:#.*\s+)*(\d+)\s+(?:#.*\s+)*(\d+)\s")
+# Whitespace, then comments that each run from "#" to the end of their line: the parts
+# cannot overlap, so matching takes linear time. Numbers have at most 9 digits, within
+# the digit limit of int().
+_SEP = rb"\s+(?:#[^\n]*\n\s*)*"
+_HEADER = re.compile(rb"(P[56])" + (_SEP + rb"(\d{1,9})") * 3 + rb"\s")
 
 
 def write_pnm(path: str | Path, pixels: np.ndarray) -> None:

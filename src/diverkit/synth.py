@@ -97,7 +97,10 @@ class DiverSceneSpec:
         sinusoid = self.path.kind == "sinusoid"
         if sinusoid and math.isinf(2.0 * math.pi * self.frames / self.path.period):
             raise ValidationError("sinusoid period is too short for the path's phase to be finite")
-        if sinusoid:
+        (x, y), reach = self.start, abs(self.path.amplitude)
+        if sinusoid and 0.0 <= x < self.width and 0.0 <= y - reach and y + reach < self.height:
+            t = self.frames  # sin lies in [-1, 1] and rounding is monotone: no frame leaves
+        elif sinusoid:  # scan up to the first frame that leaves
             t = next((t for t in range(self.frames) if self._outside(t)), self.frames)
         else:  # x and y are monotone in t, so the frames inside form a prefix if t=0 is inside
             t = 0 if self._outside(0) else bisect_left(range(self.frames), True, key=self._outside)

@@ -206,14 +206,15 @@ def band_score(spectrum: np.ndarray, cfg: TrackerConfig) -> float:
 def evidence_projections(grid: GridConfig, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (A, B) with ``A @ img @ B.T`` the blurred window means of ``img``.
 
-    A is (rows, H) and B is (cols, W): each is the window averaging along one
-    axis times that axis's symmetric-boundary Gaussian. Margin pixels that no
-    window covers only enter through the blur.
+    A is (rows, H) and B is (cols, W): row i of each is the mean of the rows of
+    that axis's symmetric-boundary blur matrix that window i covers, summed in
+    order without BLAS, so it does not depend on the BLAS build or thread count.
+    Margin pixels that no window covers only enter through the blur.
     """
 
     def project(count: int, win: int, length: int) -> np.ndarray:
-        averaging = np.repeat(np.eye(count), win, axis=1) / win
-        proj = averaging @ kernels.blur_matrix(length, sigma)[: count * win]
+        blur = kernels.blur_matrix(length, sigma)[: count * win]
+        proj = blur.reshape(count, win, length).sum(axis=1) / win
         proj.setflags(write=False)
         return proj
 

@@ -39,6 +39,13 @@ def follow_experiment(scene) -> dict:
     return {"kind": "follow", "scene": scene}
 
 
+def black_seq(last: bytes = BLACK_PGM, fps: float = 10.0) -> dict:
+    """A 15-frame 90x60 sequence of black frames whose frame 14 is ``last``."""
+    manifest = {"fps": fps, "width": 90, "height": 60, "channels": 1, "frame_count": 15}
+    frames = {f"seq/frame_{i:06d}.pgm": BLACK_PGM for i in range(14)}
+    return {"seq/manifest.json": manifest, **frames, "seq/frame_000014.pgm": last}
+
+
 def tokens(*records) -> str:
     return "".join(json.dumps(r) + "\n" for r in records)
 
@@ -127,22 +134,22 @@ CASES = {
     "deeply-nested-manifest": ({"seq/manifest.json": "[" * 100_000}, ["track", "--seq", "{d}/seq"]),
     "track-missing-seq-dir": ({}, ["track", "--seq", "{d}/nowhere"]),
     "track-pgm-trailing-bytes": (  # pixel data must end the file
-        {"seq/manifest.json": {"fps": 10.0, "width": 90, "height": 60, "channels": 1,
-                               "frame_count": 15},
-         **{f"seq/frame_{i:06d}.pgm": BLACK_PGM + (b"junk" if i == 14 else b"") for i in range(15)}},
+        black_seq(BLACK_PGM + b"junk"), ["track", "--seq", "{d}/seq"]
+    ),
+    "track-pgm-width-5000-digits": (  # a header number has at most 9 digits
+        black_seq(b"P5\n" + b"9" * 5000 + b" 60\n255\n" + bytes(90 * 60)),
         ["track", "--seq", "{d}/seq"],
     ),
-    "track-manifest-fps-zero": (
-        {"seq/manifest.json": {"fps": 0, "width": 90, "height": 60, "channels": 1,
-                               "frame_count": 15},
-         **{f"seq/frame_{i:06d}.pgm": BLACK_PGM for i in range(15)}},
+    "track-pgm-comment-ended-by-cr": (  # a comment runs to the end of its line, \n
+        black_seq(b"P5\n# c\r90 60\n255\n" + bytes(90 * 60)), ["track", "--seq", "{d}/seq"]
+    ),
+    "track-pgm-comment-without-newline": (  # the numbers are part of the comment
+        black_seq(b"P5 # no newline 90 60 255\n" + bytes(90 * 60)),
         ["track", "--seq", "{d}/seq"],
     ),
+    "track-manifest-fps-zero": (black_seq(fps=0), ["track", "--seq", "{d}/seq"]),
     "track-fps-mismatch": (  # the default tracker config is for 10 fps
-        {"seq/manifest.json": {"fps": 20.0, "width": 90, "height": 60, "channels": 1,
-                               "frame_count": 15},
-         **{f"seq/frame_{i:06d}.pgm": BLACK_PGM for i in range(15)}},
-        ["track", "--seq", "{d}/seq"],
+        black_seq(fps=20.0), ["track", "--seq", "{d}/seq"]
     ),
     "decode-oracle-missing-seq-dir": ({}, ["decode", "--seq", "{d}/nowhere"]),
     "decode-shape-missing-seq-dir": (
@@ -152,6 +159,7 @@ CASES = {
     "bench-M-not-integer": ({}, ["bench", "--M", "abc", "--T", "15"]),
     "bench-T-zero": ({}, ["bench", "--M", "4", "--T", "15,0"]),
     "bench-cycles-negative": ({}, ["bench", "--M", "4", "--T", "15", "--cycles", "-1"]),
+    "bench-seed-negative": ({}, ["bench", "--M", "4", "--T", "15", "--seed", "-1"]),
     # sizes whose arrays cannot be allocated: (T, T) complex at 149 GiB, two (M, M) at 87.9 GiB
     "bench-T-beyond-cap": ({}, ["bench", "--M", "4", "--T", "15,100000"]),
     "bench-M-beyond-cap": ({}, ["bench", "--M", "25,76800", "--T", "15"]),
@@ -214,6 +222,7 @@ CASES = {
 RANGE_CASES = {
     "synth-diver-seed-negative": "seed",
     "synth-gesture-seed-negative": "seed",
+    "bench-seed-negative": "--seed",
     "experiment-diver-seed-negative": "seed",
     "synth-gesture-jitter-beyond-margin": "jitter",
     "synth-gesture-jitter-at-minimum-frame": "jitter",
@@ -284,6 +293,9 @@ def test_malformed_input_exits_with_one_error_line(case, tmp_path, diver_seq, ca
         ("experiment-unknown-key", 1),
         ("track-missing-seq-dir", 2),
         ("track-pgm-trailing-bytes", 2),
+        ("track-pgm-width-5000-digits", 2),
+        ("track-pgm-comment-ended-by-cr", 2),
+        ("track-pgm-comment-without-newline", 2),
         ("track-manifest-fps-zero", 1),
         ("track-fps-mismatch", 1),
         *((case, 1) for case in RANGE_CASES),
@@ -333,6 +345,20 @@ def test_bench_refuses_before_its_first_line(case, tmp_path, diver_seq, capsys):
 def test_decode_missing_seq_dir_is_an_io_error(recognizer, tmp_path, diver_seq, capsys):
     assert main(case_argv(f"decode-{recognizer}-missing-seq-dir", tmp_path, diver_seq)) == 2
     assert capsys.readouterr().err.startswith("I/O error:")
+
+
+@pytest.mark.parametrize(
+    "spec, argv", [({"out": ""}, []), ({}, ["--out", ""])], ids=["spec", "flag"]
+)
+def test_experiment_with_an_empty_out_writes_nothing(spec, argv, tmp_path, monkeypatch, capsys):
+    # "" would name the working directory, as Path("") does
+    monkeypatch.chdir(tmp_path)
+    Path("exp.json").write_text(json.dumps({"kind": "follow", "scene": {}, **spec}))
+    assert main(["experiment", "--spec", "exp.json", *argv]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "'out'" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
 
 def test_number_beyond_the_int_digit_limit_decodes_to_nothing(tmp_path, capsys):

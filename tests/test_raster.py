@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +56,54 @@ def test_corrupt_header_raises(tmp_path):
     path.write_bytes(b"JUNK")
     with pytest.raises(CorruptFrameError):
         read_pnm(path)
+
+
+def test_header_fields_take_any_whitespace_and_comments(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5\t2\r\n#\n\n# two\r\n  2 # w h\n#\n255\n\x00\x01\x02\x03")
+    assert (read_pnm(path) == [[0, 1], [2, 3]]).all()
+
+
+def test_adversarial_headers_are_refused_in_linear_time(tmp_path):
+    # run in a child, so that a backtracking pattern fails on the timeout instead of
+    # hanging: it would take days on 40 "# " pairs, and 8.5 s on 16,000 spaces
+    headers = [b"P5 " + b"# " * 40 + b"x", b"P5 " + b"# " * 100_000 + b"x", b"P5 # " + b" " * 10**6]
+    paths = [tmp_path / f"slow{i}.pgm" for i in range(len(headers))]
+    for path, header in zip(paths, headers):
+        path.write_bytes(header)
+    code = (
+        "import sys, time\n"
+        "from diverkit.raster import CorruptFrameError, read_pnm\n"
+        "for path in sys.argv[1:]:\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        read_pnm(path)\n"
+        "    except CorruptFrameError:\n"
+        "        print(time.perf_counter() - start < 0.5)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, *map(str, paths)], capture_output=True, text=True, timeout=5
+    )
+    assert child.stdout == "True\n" * len(paths), child.stderr
+
+
+# header pieces, so that generated files come near the grammar from both sides
+HEADER_PARTS = st.sampled_from(
+    [b" ", b"\n", b"\r", b"\t", b"#", b"# c\n", b"0", b"2", b"3", b"255", b"9" * 10, b"x", b"\xff"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(magic=st.sampled_from([b"P5", b"P6"]), parts=st.lists(HEADER_PARTS, max_size=16),
+       tail=st.binary(max_size=16))
+def test_any_bytes_read_as_a_frame_or_a_corrupt_file(tmp_path_factory, magic, parts, tail):
+    path = tmp_path_factory.mktemp("pnm") / "a.pnm"
+    path.write_bytes(magic + b"".join(parts) + tail)
+    try:
+        pixels = read_pnm(path)
+    except CorruptFrameError:
+        return
+    assert pixels.dtype == np.uint8 and pixels.ndim == (2 if magic == b"P5" else 3)
 
 
 def test_truncated_body_raises(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,6 +179,30 @@ class TestDiverScene:
         # a per-frame check of 10**8 frames would take about a minute
         spec = DiverSceneSpec.from_dict({"frames": 10**8, "path": {"kind": "straight", "vx": 1e-7}})
         assert spec.center_at(10**8 - 1)[0] == pytest.approx(170.0)
+
+    def test_sinusoid_inside_the_frame_is_checked_without_a_pass_per_frame(self):
+        # start y +- |amplitude| lies in the frame; a per-frame check would take 16 minutes
+        code = (
+            "from diverkit.synth import DiverSceneSpec\n"
+            "path = {'kind': 'sinusoid', 'amplitude': -119.5, 'period': 7.5}\n"
+            "spec = DiverSceneSpec.from_dict({'frames': 10**9, 'start': [0.0, 120.0], 'path': path})\n"
+            "print(spec.frames)\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=5
+        )
+        assert child.stdout == f"{10**9}\n", child.stderr
+
+    @pytest.mark.parametrize("start_y", [29.0, 30.0, 59.0, 60.0])
+    def test_sinusoid_shortcut_agrees_with_a_scan(self, start_y):
+        # start y +- 30 lies in [0, 90) only for y in [30, 60)
+        path = PathSpec("sinusoid", amplitude=30.0, period=4.0)  # sin is +-1 at t = 1, 3
+        outside = [t for t in range(8) if not 0.0 <= start_y + path.offset(t)[1] < 90.0]
+        try:
+            self.spec(frames=8, path=path, start=(45.0, start_y))
+            assert outside == []
+        except ValidationError as exc:
+            assert f"at t={outside[0]} " in str(exc)
 
 class TestHandShapes:
     def test_ten_distinct_connected_silhouettes(self):
